@@ -32,38 +32,26 @@ pub fn run(b: &mut Bencher) {
     });
 
     // Variant count measured once up front (base + the 15 compositions).
-    let n_variants = {
-        let mut u = FamilyUniverse::new();
-        families_stlc::build_lattice(&mut u).unwrap().rows.len()
-    };
+    let feats = families_stlc::Feature::all();
+    let n_variants = families_stlc::subset_defs(&feats).len();
 
+    // The single-worker task DAG: the series every `speedup_vs_seq`
+    // below divides by.
     b.bench("lattice/build_cold", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = families_stlc::build_lattice(&mut u).unwrap();
+        let rep = families_stlc::build_lattice(&mut u, &feats, 1).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
 
     b.bench("lattice/build_cold_parallel", n_variants as f64, || {
         let mut u = FamilyUniverse::new();
-        let rep = families_stlc::build_lattice_parallel(&mut u).unwrap();
+        let rep =
+            families_stlc::build_lattice(&mut u, &feats, fpop::sched::default_workers()).unwrap();
         assert_eq!(rep.rows.len(), n_variants);
         rep.rows.len()
     });
     b.mark_speedup("lattice/build_cold_parallel", "lattice/build_cold");
-
-    // One DAG worker vs the sequential wave builder: the same work on
-    // the same thread, so the ratio is pure scheduler bookkeeping —
-    // task-graph construction, the ready queue, the COW env overlays.
-    // Healthy is ≈ 1.0; this row is the pin the single-worker-overhead
-    // satellite work moves.
-    b.bench("lattice/build_cold_1w", n_variants as f64, || {
-        let mut u = FamilyUniverse::new();
-        let rep = families_stlc::build_lattice_parallel_with(&mut u, 1).unwrap();
-        assert_eq!(rep.rows.len(), n_variants);
-        rep.rows.len()
-    });
-    b.mark_speedup("lattice/build_cold_1w", "lattice/build_cold");
 
     // Thread series over the task-DAG scheduler: same workload, forced
     // worker counts. The `speedup_vs_seq` JSON field on each lets
@@ -73,7 +61,7 @@ pub fn run(b: &mut Bencher) {
         let name = format!("lattice/build_cold_parallel_{workers}w");
         b.bench(&name, n_variants as f64, || {
             let mut u = FamilyUniverse::new();
-            let rep = families_stlc::build_lattice_parallel_with(&mut u, workers).unwrap();
+            let rep = families_stlc::build_lattice(&mut u, &feats, workers).unwrap();
             assert_eq!(rep.rows.len(), n_variants);
             rep.rows.len()
         });

@@ -228,8 +228,7 @@ fn recheck_series(b: &mut Bencher) {
 
     b.bench("lattice/full_rebuild_warm", rows as f64, || {
         let mut u = FamilyUniverse::with_session(warm.session().clone());
-        let rep = families_stlc::build_lattice_defs(&mut u, &feats, subset_defs(&feats))
-            .expect("warm full rebuild");
+        let rep = families_stlc::build_lattice(&mut u, &feats, 1).expect("warm full rebuild");
         assert_eq!(rep.rows.len(), rows);
         rep.rows.len()
     });

@@ -49,6 +49,7 @@ use fpop::session::sort_export_entries;
 use fpop::stable::{fnv64_bytes, Fnv64};
 use fpop::ExportEntry;
 
+use crate::fpopb::w_varint;
 use crate::snapshot::{self, Cursor, SnapshotError};
 
 /// Leading magic bytes of every diff file.
@@ -135,7 +136,7 @@ pub fn encode_diff(base_digest: u64, added: &[ExportEntry]) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&base_digest.to_le_bytes());
-    snapshot::w_varint(&mut out, added.len() as u64);
+    w_varint(&mut out, added.len() as u64);
     let mut body = Vec::new();
     for e in added {
         body.clear();
@@ -144,7 +145,7 @@ pub fn encode_diff(base_digest: u64, added: &[ExportEntry]) -> Vec<u8> {
             ExportEntry::Theorem { .. } => 0,
             ExportEntry::Case { .. } => 1,
         });
-        snapshot::w_varint(&mut out, body.len() as u64);
+        w_varint(&mut out, body.len() as u64);
         out.extend_from_slice(&body);
     }
     let mut h = Fnv64::new();

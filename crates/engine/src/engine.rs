@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use families_stlc::build_lattice_subset_parallel_with;
+use families_stlc::build_lattice;
 use fpop::{ExportMark, FamilyUniverse, Session, StatsSnapshot};
 use modsys::CheckLedger;
 
@@ -474,11 +474,10 @@ impl Shared {
                 // Field-level task DAG: a single cold batch elaborates
                 // across the scheduler's workers instead of pinning one
                 // queue worker (same verdicts, ledgers, and session
-                // contents as the sequential build — see the parallel
+                // contents at every worker count — see the parallel
                 // differential oracle).
-                let report =
-                    build_lattice_subset_parallel_with(&mut u, &features, self.sched_workers)
-                        .map_err(|e| EngineError::Failed(e.to_string()))?;
+                let report = build_lattice(&mut u, &features, self.sched_workers)
+                    .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
                 Ok(Response::Lattice { report, ledger })
             }

@@ -50,6 +50,8 @@ use objlang::proof::Sequent;
 use objlang::syntax::{Prop, Sort, Term};
 use objlang::tactic::Tactic;
 
+use crate::fpopb::{w_str, w_varint};
+
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FPOPSNAP";
 /// Current format version. Bump on any change to the entry encoding *or*
@@ -103,23 +105,6 @@ impl std::error::Error for SnapshotError {}
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-pub(crate) fn w_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn w_sym(out: &mut Vec<u8>, s: Symbol) {
     w_str(out, s.as_str());

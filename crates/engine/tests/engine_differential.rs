@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use engine::{Engine, EngineConfig, EngineError, Priority, Request, Response};
-use families_stlc::build_lattice_subset;
+use families_stlc::build_lattice;
 use fpop::universe::FamilyUniverse;
 use testkit::family_gen::gen_feature_subset;
 use testkit::script_gen::{gen_vernacular, Verdict, VernacularProgram};
@@ -153,7 +153,7 @@ fn engine_lattice_matches_in_process_lattice() {
             other => panic!("lattice request answered {other:?}"),
         };
         let mut u = FamilyUniverse::new();
-        let direct = build_lattice_subset(&mut u, &subset.normalized).expect("in-process build");
+        let direct = build_lattice(&mut u, &subset.normalized, 1).expect("in-process build");
         assert_eq!(report.rows.len(), direct.rows.len(), "row counts differ");
         for (e, d) in report.rows.iter().zip(&direct.rows) {
             assert_eq!(e.name, d.name, "variant order differs");

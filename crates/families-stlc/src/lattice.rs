@@ -11,20 +11,20 @@
 //! in Figure 3 — the latter by mixing in a composite that itself has
 //! mixins.
 //!
-//! The lattice can also be built in parallel ([`build_lattice_parallel`] /
-//! [`build_extended_lattice_parallel`]): every field of every variant is a
-//! node in a [`fpop::sched::TaskDag`], with chain edges inside each
-//! variant (fields check front to back, §3.4) and cross edges from each
-//! variant's *finish* node to the first node of every feature-superset
-//! variant — the proper-subset order of the Venn diagram, which is exactly
-//! "who can inherit modules and share proofs with whom". A work-stealing
-//! scheduler executes the graph; each variant elaborates into a detached
-//! module environment seeded with its prerequisites' module deltas and
-//! reads their uncommitted proof fragments through
+//! One function builds the lattice, [`build_lattice`]: every field of
+//! every variant is a node in a [`fpop::sched::TaskDag`], with chain edges
+//! inside each variant (fields check front to back, §3.4) and cross edges
+//! from each variant's *finish* node to the first node of every
+//! feature-superset variant — the proper-subset order of the Venn diagram,
+//! which is exactly "who can inherit modules and share proofs with whom".
+//! A work-stealing scheduler executes the graph; each variant elaborates
+//! into a detached module environment seeded with its prerequisites'
+//! module deltas and reads their uncommitted proof fragments through
 //! [`fpop::Session::begin_with_reads`]; *nothing* commits during the run.
 //! Afterwards the coordinator commits every variant in canonical order, so
-//! reports, ledgers, and the session contents are bit-for-bit what the
-//! sequential build produces — whatever order the workers actually ran in.
+//! reports, ledgers, and the session contents are bit-for-bit the same at
+//! every worker count — and the same as defining the variants one by one
+//! in that order — whatever order the workers actually ran in.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -220,55 +220,6 @@ impl LatticeReport {
     }
 }
 
-fn record(u: &FamilyUniverse, name: &str, arity: usize, elapsed: Duration) -> VariantStat {
-    let fam = u.family(name).expect("just defined");
-    VariantStat {
-        name: name.to_string(),
-        arity,
-        fields: fam.fields.len(),
-        checked: fam.ledger.checked_count(),
-        shared: fam.ledger.shared_count(),
-        reuse_ratio: fam.ledger.reuse_ratio(),
-        elapsed,
-    }
-}
-
-/// The lattice build plan in *canonical order*: one wave per arity (wave 0
-/// is the base `STLC`, wave 1 the single features, wave *k* the arity-*k*
-/// composites in ascending feature-mask order). Every variant depends only
-/// on variants in strictly earlier waves, which is what licenses the
-/// parallel builders to fan a whole wave out over threads. The sequential
-/// builders walk the same plan, so sequential and parallel reports line up
-/// row for row.
-pub fn lattice_waves(extended: bool) -> Vec<Vec<FamilyDef>> {
-    let feats: Vec<Feature> = if extended {
-        Feature::all_extended().to_vec()
-    } else {
-        Feature::all().to_vec()
-    };
-    subset_waves(&feats)
-}
-
-/// The build plan for an arbitrary feature subset: base `STLC`, the
-/// requested single-feature families, then every ≥2-ary combination of the
-/// subset, one wave per arity (see [`lattice_waves`], which is the
-/// full-set instance). This is the unit of work behind the `fpopd`
-/// engine's `BuildLattice` requests: a client names the features it cares
-/// about and the engine elaborates exactly that sub-lattice, with every
-/// proof drawn from (and contributed to) the shared session.
-pub fn subset_waves(features: &[Feature]) -> Vec<Vec<FamilyDef>> {
-    let mut waves: Vec<Vec<FamilyDef>> = Vec::new();
-    let mut cur_arity = usize::MAX;
-    for entry in subset_plan(features) {
-        if waves.is_empty() || entry.arity != cur_arity {
-            cur_arity = entry.arity;
-            waves.push(Vec::new());
-        }
-        waves.last_mut().expect("just pushed").push(entry.def);
-    }
-    waves
-}
-
 /// One planned variant: its feature bitmask over the normalized feature
 /// subset (bit *i* = the *i*-th requested feature in canonical order; the
 /// base `STLC` is mask 0), its arity, and its definition.
@@ -279,8 +230,8 @@ struct PlanEntry {
 }
 
 /// The canonical-order build plan: base `STLC` first, then arity
-/// ascending, feature-mask ascending within an arity — the exact order
-/// the sequential build defines variants in. The masks double as the
+/// ascending, feature-mask ascending within an arity — the order the
+/// lattice build commits variants in. The masks double as the
 /// dependency relation for the task-DAG build: variant *j* is a
 /// prerequisite of variant *i* iff `mask_j` is a **proper subset** of
 /// `mask_i`. That covers every family *i* can inherit modules from
@@ -336,19 +287,6 @@ fn subset_plan(features: &[Feature]) -> Vec<PlanEntry> {
         }
     }
     plan
-}
-
-fn build_sequential(u: &mut FamilyUniverse, waves: Vec<Vec<FamilyDef>>) -> Result<LatticeReport> {
-    let mut report = LatticeReport::default();
-    for (arity, wave) in waves.into_iter().enumerate() {
-        for def in wave {
-            let name = def.name.to_string();
-            let t = Instant::now();
-            u.define(def)?;
-            report.rows.push(record(u, &name, arity, t.elapsed()));
-        }
-    }
-    Ok(report)
 }
 
 /// What a DAG node does for its variant: check the next field, or close
@@ -410,24 +348,40 @@ enum MemoMode {
     Consult(Vec<bool>),
 }
 
-/// The task-DAG build. Plans and merges every variant up front, lowers
-/// the lattice to a field-level [`TaskDag`] (one node per field plus a
-/// finish node per variant; cross edges along the proper-subset order),
-/// runs it on `workers` work-stealing threads with **no commits during
-/// the run**, then commits every variant in canonical plan order —
-/// making reports, ledgers, and session contents identical to the
-/// sequential build's.
-fn build_dag(
+/// Builds the sub-lattice spanned by `features` — base `STLC`, the
+/// single-feature families, then every ≥2-ary combination, in canonical
+/// order ([`subset_defs`]) — in `u`, and returns the per-variant report.
+/// `Feature::all()` gives the paper's 15-variant Venn lattice,
+/// `Feature::all_extended()` the 31-variant extended one. This is the
+/// unit of work behind the `fpopd` engine's `BuildLattice` requests: a
+/// client names the features it cares about and the engine elaborates
+/// exactly that sub-lattice, with every proof drawn from (and contributed
+/// to) `u`'s session. Pass [`fpop::sched::default_workers`] for the
+/// host's default worker count.
+///
+/// Plans and merges every variant up front, lowers the lattice to a
+/// field-level [`TaskDag`] (one node per field plus a finish node per
+/// variant; cross edges along the proper-subset order), runs it on
+/// `workers` work-stealing threads with **no commits during the run**,
+/// then commits every variant in canonical plan order — making reports,
+/// ledgers, and session contents identical at every worker count.
+///
+/// # Errors
+///
+/// Propagates any elaboration failure (none are expected; the lattice is
+/// the Section 7 case-study payload).
+pub fn build_lattice(
     u: &mut FamilyUniverse,
-    plan: Vec<PlanEntry>,
+    features: &[Feature],
     workers: usize,
 ) -> Result<LatticeReport> {
+    let plan = subset_plan(features);
     let merged = u.plan(plan.iter().map(|p| &p.def))?;
     let src = merged.iter().map(incr::source_digest_merged).collect();
     Ok(build_dag_incr(u, plan, merged, src, MemoMode::Record, workers)?.0)
 }
 
-/// [`build_dag`] with an explicit memo policy — the incremental-recheck
+/// [`build_lattice`] with an explicit memo policy — the incremental-recheck
 /// core. In `Consult` mode it runs in two phases:
 ///
 /// 1. **static dirty-cone seeding** — in plan order, any non-forced
@@ -706,116 +660,9 @@ fn build_dag_incr(
     Ok((report, outcome))
 }
 
-/// Defines the base STLC, the four feature families, and all 11 composite
-/// variants in `u`; returns the per-variant report.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure (none are expected; the lattice is
-/// the Section 7 case-study payload).
-pub fn build_lattice(u: &mut FamilyUniverse) -> Result<LatticeReport> {
-    build_sequential(u, lattice_waves(false))
-}
-
-/// Defines the *extended* lattice over all five features (31 variants) —
-/// the scaling companion to [`build_lattice`]. Returns the report.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_extended_lattice(u: &mut FamilyUniverse) -> Result<LatticeReport> {
-    build_sequential(u, lattice_waves(true))
-}
-
-/// [`build_lattice`], parallelized on the field-level task DAG with
-/// [`fpop::sched::default_workers`] worker threads (override with the
-/// `FPOP_SCHED_WORKERS` environment variable, or call
-/// [`build_lattice_parallel_with`]). The report (modulo wall times), all
-/// ledgers, and the session contents are identical to the sequential
-/// build's.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_lattice_parallel(u: &mut FamilyUniverse) -> Result<LatticeReport> {
-    build_lattice_parallel_with(u, fpop::sched::default_workers())
-}
-
-/// [`build_lattice_parallel`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_lattice_parallel_with(
-    u: &mut FamilyUniverse,
-    workers: usize,
-) -> Result<LatticeReport> {
-    build_dag(u, subset_plan(&Feature::all()), workers)
-}
-
-/// [`build_extended_lattice`], parallelized on the task DAG; see
-/// [`build_lattice_parallel`].
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_extended_lattice_parallel(u: &mut FamilyUniverse) -> Result<LatticeReport> {
-    build_extended_lattice_parallel_with(u, fpop::sched::default_workers())
-}
-
-/// [`build_extended_lattice_parallel`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_extended_lattice_parallel_with(
-    u: &mut FamilyUniverse,
-    workers: usize,
-) -> Result<LatticeReport> {
-    build_dag(u, subset_plan(&Feature::all_extended()), workers)
-}
-
-/// Builds the sub-lattice spanned by `features` (base + singles + every
-/// ≥2-ary combination), sequentially. With the full four-feature set this
-/// is exactly [`build_lattice`]. The engine's `BuildLattice` request runs
-/// this against its long-lived session.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_lattice_subset(u: &mut FamilyUniverse, features: &[Feature]) -> Result<LatticeReport> {
-    build_sequential(u, subset_waves(features))
-}
-
-/// [`build_lattice_subset`], parallelized on the task DAG; see
-/// [`build_lattice_parallel`].
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_lattice_subset_parallel(
-    u: &mut FamilyUniverse,
-    features: &[Feature],
-) -> Result<LatticeReport> {
-    build_lattice_subset_parallel_with(u, features, fpop::sched::default_workers())
-}
-
-/// [`build_lattice_subset_parallel`] with an explicit worker count.
-///
-/// # Errors
-///
-/// Propagates any elaboration failure.
-pub fn build_lattice_subset_parallel_with(
-    u: &mut FamilyUniverse,
-    features: &[Feature],
-    workers: usize,
-) -> Result<LatticeReport> {
-    build_dag(u, subset_plan(features), workers)
-}
-
 /// The sub-lattice vernacular in canonical plan order — the definition
 /// list the incremental entry points edit and resubmit. Position *i*
-/// corresponds to plan entry *i* of [`build_lattice_subset`]: base
+/// corresponds to plan entry *i* of [`build_lattice`]: base
 /// `STLC`, then arity ascending, feature-mask ascending within an arity.
 pub fn subset_defs(features: &[Feature]) -> Vec<FamilyDef> {
     subset_plan(features).into_iter().map(|p| p.def).collect()
@@ -843,34 +690,6 @@ fn plan_with_defs(features: &[Feature], defs: Vec<FamilyDef>) -> Result<Vec<Plan
         entry.def = def;
     }
     Ok(plan)
-}
-
-/// Builds the sub-lattice from an *edited* definition list (as produced
-/// by [`subset_defs`] and then modified), sequentially and from scratch —
-/// no memo, no DAG. This is the differential-testing control for the
-/// incremental builders: whatever [`build_lattice_defs_incr_with`]
-/// replays must be row-identical to what this function recomputes.
-///
-/// # Errors
-///
-/// Rejects a definition list that does not match the plan by name and
-/// position; propagates any elaboration failure.
-pub fn build_lattice_defs(
-    u: &mut FamilyUniverse,
-    features: &[Feature],
-    defs: Vec<FamilyDef>,
-) -> Result<LatticeReport> {
-    let plan = plan_with_defs(features, defs)?;
-    let mut waves: Vec<Vec<FamilyDef>> = Vec::new();
-    let mut cur_arity = usize::MAX;
-    for entry in plan {
-        if waves.is_empty() || entry.arity != cur_arity {
-            cur_arity = entry.arity;
-            waves.push(Vec::new());
-        }
-        waves.last_mut().expect("just pushed").push(entry.def);
-    }
-    build_sequential(u, waves)
 }
 
 /// Incremental rebuild of an edited sub-lattice: replans `defs` against
@@ -993,46 +812,64 @@ mod tests {
         assert_eq!(n, vec![Feature::Fix, Feature::Isorec]);
     }
 
+    fn def_names(features: &[Feature]) -> Vec<String> {
+        subset_defs(features)
+            .iter()
+            .map(|d| d.name.to_string())
+            .collect()
+    }
+
     #[test]
-    fn subset_waves_full_set_matches_lattice_waves() {
-        let a = lattice_waves(false);
-        let b = subset_waves(&Feature::all());
-        assert_eq!(a.len(), b.len());
-        for (wa, wb) in a.iter().zip(&b) {
-            let na: Vec<_> = wa.iter().map(|d| d.name).collect();
-            let nb: Vec<_> = wb.iter().map(|d| d.name).collect();
-            assert_eq!(na, nb);
-        }
-        let e = lattice_waves(true);
-        let f = subset_waves(&Feature::all_extended());
+    fn subset_defs_venn_order_is_base_singles_then_composites() {
+        // Base first, the singles in canonical order, then composites by
+        // arity, feature-mask ascending within an arity.
+        let expected = [
+            "STLC",
+            "STLCFix",
+            "STLCProd",
+            "STLCSum",
+            "STLCIsorec",
+            "STLCFixProd",
+            "STLCFixSum",
+            "STLCProdSum",
+            "STLCFixIsorec",
+            "STLCProdIsorec",
+            "STLCSumIsorec",
+            "STLCFixProdSum",
+            "STLCFixProdIsorec",
+            "STLCFixSumIsorec",
+            "STLCProdSumIsorec",
+            "STLCFixProdSumIsorec",
+        ];
+        assert_eq!(def_names(&Feature::all()), expected);
+    }
+
+    #[test]
+    fn subset_defs_pair_has_base_singles_composite() {
         assert_eq!(
-            e.iter().map(Vec::len).sum::<usize>(),
-            f.iter().map(Vec::len).sum::<usize>()
+            def_names(&[Feature::Prod, Feature::Fix]),
+            ["STLC", "STLCFix", "STLCProd", "STLCFixProd"]
         );
     }
 
     #[test]
-    fn subset_waves_pair_has_base_singles_composite() {
-        let w = subset_waves(&[Feature::Prod, Feature::Fix]);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0][0].name.as_str(), "STLC");
-        let singles: Vec<_> = w[1].iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(singles, vec!["STLCFix", "STLCProd"]);
-        assert_eq!(w[2][0].name.as_str(), "STLCFixProd");
+    fn subset_defs_single_feature_has_no_composites() {
+        assert_eq!(def_names(&[Feature::Sum]), ["STLC", "STLCSum"]);
     }
 
     #[test]
-    fn subset_waves_single_feature_has_no_composites() {
-        let w = subset_waves(&[Feature::Sum]);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[1][0].name.as_str(), "STLCSum");
+    fn subsets_count() {
+        // Base + 4 singles + 11 composites (the Venn diagram), and base +
+        // 31 variants over all five features.
+        assert_eq!(subset_defs(&Feature::all()).len(), 16);
+        assert_eq!(subset_defs(&Feature::all_extended()).len(), 32);
     }
 
     #[test]
     fn noop_rebuild_replays_everything() {
         let feats = [Feature::Fix, Feature::Prod];
         let mut u = FamilyUniverse::new();
-        let warm = build_lattice_subset_parallel_with(&mut u, &feats, 1).unwrap();
+        let warm = build_lattice(&mut u, &feats, 1).unwrap();
         let (next, report, outcome) =
             build_lattice_defs_incr_with(&u, &feats, subset_defs(&feats), &[], 1).unwrap();
         assert_eq!(outcome.dirty, 0);
@@ -1052,7 +889,7 @@ mod tests {
     fn touch_recheck_reproves_only_dirty_cone() {
         let feats = [Feature::Fix, Feature::Prod];
         let mut u = FamilyUniverse::new();
-        let warm = build_lattice_subset_parallel_with(&mut u, &feats, 1).unwrap();
+        let warm = build_lattice(&mut u, &feats, 1).unwrap();
         let field = u.family("STLCFix").unwrap().fields[0].name.to_string();
         let (_, report, outcome) =
             recheck_lattice_subset_with(&u, &feats, "STLCFix", &field, 1).unwrap();
@@ -1082,26 +919,8 @@ mod tests {
     fn recheck_rejects_unknown_variant_or_field() {
         let feats = [Feature::Sum];
         let mut u = FamilyUniverse::new();
-        build_lattice_subset_parallel_with(&mut u, &feats, 1).unwrap();
+        build_lattice(&mut u, &feats, 1).unwrap();
         assert!(recheck_lattice_subset_with(&u, &feats, "STLCFix", "x", 1).is_err());
         assert!(recheck_lattice_subset_with(&u, &feats, "STLCSum", "nope", 1).is_err());
-    }
-
-    #[test]
-    fn subsets_count() {
-        // 4 singles + 11 composites = 15 variants (the Venn diagram).
-        let feats = Feature::all();
-        let mut count = 0;
-        for mask in 1u32..16 {
-            let n = feats
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << *i) != 0)
-                .count();
-            if n >= 1 {
-                count += 1;
-            }
-        }
-        assert_eq!(count, 15);
     }
 }

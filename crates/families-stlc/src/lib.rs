@@ -18,9 +18,6 @@ pub mod util;
 
 pub use base::stlc_family;
 pub use lattice::{
-    build_extended_lattice, build_extended_lattice_parallel, build_extended_lattice_parallel_with,
-    build_lattice, build_lattice_defs, build_lattice_defs_incr_with, build_lattice_parallel,
-    build_lattice_parallel_with, build_lattice_subset, build_lattice_subset_parallel,
-    build_lattice_subset_parallel_with, normalize_features, recheck_lattice_subset_with,
+    build_lattice, build_lattice_defs_incr_with, normalize_features, recheck_lattice_subset_with,
     subset_defs, variant_name, Feature, LatticeReport, VariantStat,
 };

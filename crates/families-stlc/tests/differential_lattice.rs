@@ -1,74 +1,43 @@
-//! Differential oracle 2: **parallel vs. sequential lattice builds** on
-//! *randomized* feature subsets.
+//! Differential oracle 2: the **task-DAG lattice build** against the
+//! from-scratch reference, on *randomized* feature subsets.
 //!
-//! `parallel_lattice.rs` pins the two fixed lattices (Venn and extended);
-//! this suite drives the same observational-equivalence property across
-//! random sublattices drawn by [`testkit::family_gen`], with integrated
-//! shrinking: a failing subset is minimized feature by feature before the
-//! harness reports its replay seed.
+//! [`families_stlc::build_lattice`] elaborates every field of every
+//! variant as a node of a work-stealing task graph, with nothing
+//! committed during the run, then commits the variants in canonical
+//! order. Its claim is that the worker count and the order the workers
+//! ran in are unobservable: the universe and the session end exactly as
+//! if each variant had been defined one by one in plan order, which is
+//! what [`testkit::lattice_ref::build_reference`] does.
+//! [`dag_matches_reference`] builds the reference once and the DAG at 1,
+//! 2, 4 and 8 workers and checks each against it (rows, ledgers,
+//! exported session bytes, cache hits).
+//!
+//! This file drives that check across random sublattices drawn by
+//! [`testkit::family_gen`], with integrated shrinking: a failing subset
+//! is minimized feature by feature before the harness reports its replay
+//! seed. `sched_differential.rs` runs more random subsets and the full
+//! Venn lattice; `parallel_lattice.rs` the extended lattice and what the
+//! built lattices are for.
 
-use families_stlc::{
-    build_lattice_subset, build_lattice_subset_parallel, normalize_features, variant_name,
-    LatticeReport,
-};
-use fpop::universe::FamilyUniverse;
+use families_stlc::{normalize_features, variant_name};
 use testkit::family_gen::{gen_composition_chain, gen_feature_subset, FeatureSubset};
+use testkit::lattice_ref::dag_matches_reference;
 use testkit::{forall, run_cases};
 
-/// Row-by-row comparison modulo wall time.
-fn reports_match(seq: &LatticeReport, par: &LatticeReport) -> Result<(), String> {
-    if seq.rows.len() != par.rows.len() {
-        return Err(format!(
-            "row count differs: seq {} vs par {}",
-            seq.rows.len(),
-            par.rows.len()
-        ));
-    }
-    for (s, p) in seq.rows.iter().zip(&par.rows) {
-        if s.name != p.name {
-            return Err(format!("variant order differs: {} vs {}", s.name, p.name));
-        }
-        if (s.arity, s.fields, s.checked, s.shared) != (p.arity, p.fields, p.checked, p.shared) {
-            return Err(format!(
-                "{}: (arity, fields, checked, shared) = ({}, {}, {}, {}) seq vs ({}, {}, {}, {}) par",
-                s.name, s.arity, s.fields, s.checked, s.shared, p.arity, p.fields, p.checked,
-                p.shared
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Random sublattices elaborate to ledger-identical reports whether the
-/// waves run sequentially or on the worker pool.
+/// Random sublattices elaborate identically on the DAG at every worker
+/// count and in the one-by-one reference, and the subset's top variant
+/// is present under its canonical name.
 #[test]
 fn random_sublattices_build_identically_parallel_and_sequential() {
     forall(
-        "sublattice_par_eq_seq",
+        "sublattice_dag_eq_reference",
         0x1A771CE,
         4,
         gen_feature_subset,
         |s: &FeatureSubset| {
-            let mut seq_u = FamilyUniverse::new();
-            let seq = build_lattice_subset(&mut seq_u, &s.normalized)
-                .map_err(|e| format!("sequential build failed: {e:?}"))?;
-            let mut par_u = FamilyUniverse::new();
-            let par = build_lattice_subset_parallel(&mut par_u, &s.normalized)
-                .map_err(|e| format!("parallel build failed: {e:?}"))?;
-            reports_match(&seq, &par)?;
-            if !seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger) {
-                return Err(format!(
-                    "aggregate ledgers diverge: seq checked={} shared={} vs par checked={} shared={}",
-                    seq_u.modenv.ledger.checked_count(),
-                    seq_u.modenv.ledger.shared_count(),
-                    par_u.modenv.ledger.checked_count(),
-                    par_u.modenv.ledger.shared_count(),
-                ));
-            }
-            // The top variant of the subset must be present and named
-            // canonically.
+            let (_, report) = dag_matches_reference(&s.normalized)?;
             let top = s.top_variant();
-            if !seq.rows.iter().any(|r| r.name == top) {
+            if !report.rows.iter().any(|r| r.name == top) {
                 return Err(format!("top variant {top} missing from report"));
             }
             Ok(())
@@ -77,7 +46,8 @@ fn random_sublattices_build_identically_parallel_and_sequential() {
 }
 
 /// Rebuilding the same random subset in a *fresh* universe is fully
-/// deterministic: identical rows, identical ledger counts.
+/// deterministic: every rebuild, at every worker count, reproduces the
+/// one reference build's rows, ledger counts and session bytes.
 #[test]
 fn sublattice_rebuilds_are_deterministic() {
     forall(
@@ -85,19 +55,7 @@ fn sublattice_rebuilds_are_deterministic() {
         0xD37E12,
         3,
         gen_feature_subset,
-        |s: &FeatureSubset| {
-            let mut u1 = FamilyUniverse::new();
-            let r1 = build_lattice_subset_parallel(&mut u1, &s.normalized)
-                .map_err(|e| format!("first build failed: {e:?}"))?;
-            let mut u2 = FamilyUniverse::new();
-            let r2 = build_lattice_subset_parallel(&mut u2, &s.normalized)
-                .map_err(|e| format!("second build failed: {e:?}"))?;
-            reports_match(&r1, &r2)?;
-            if !u1.modenv.ledger.same_counts(&u2.modenv.ledger) {
-                return Err("rebuild ledgers diverge".into());
-            }
-            Ok(())
-        },
+        |s: &FeatureSubset| dag_matches_reference(&s.normalized).map(drop),
     );
 }
 

@@ -10,8 +10,8 @@
 //!   fingerprint-dirty cone and serves the rest from the session memo
 //!   (early cutoff or replay);
 //! * the **control** rebuilds the whole edited lattice from scratch
-//!   each step — sequentially, waves, no DAG, no memo — on its own
-//!   session.
+//!   each step — [`testkit::lattice_ref::build_reference`], one
+//!   `define` per variant, no DAG, no memo — on its own session.
 //!
 //! Both sessions start empty and see the same edit history, so the
 //! control's proof cache is inductively identical to the incremental
@@ -36,12 +36,12 @@
 use std::collections::HashMap;
 
 use families_stlc::{
-    build_lattice_defs, build_lattice_defs_incr_with, subset_defs, variant_name, Feature,
-    LatticeReport, VariantStat,
+    build_lattice_defs_incr_with, subset_defs, variant_name, Feature, LatticeReport, VariantStat,
 };
 use fpop::universe::FamilyUniverse;
 use testkit::edit_gen::{expand_script, gen_edit_script, EditScript};
 use testkit::forall;
+use testkit::lattice_ref::build_reference;
 
 /// Exact row equality (modulo wall time) between two reports' rows for
 /// variant index `i`.
@@ -76,7 +76,7 @@ fn run_script(script: &EditScript) -> Result<(), String> {
 
     // Initial cold builds: the incremental entry point with an empty
     // previous universe (everything fingerprint-misses) vs the
-    // sequential control. Both are cold, so rows must match exactly and
+    // reference control. Both are cold, so rows must match exactly and
     // the aggregate ledgers must agree unit for unit.
     let empty = FamilyUniverse::new();
     let (mut incr_u, incr_init, init_outcome) =
@@ -84,7 +84,7 @@ fn run_script(script: &EditScript) -> Result<(), String> {
             .map_err(|e| format!("initial incremental build failed: {e:?}"))?;
     let mut ctrl_u = FamilyUniverse::new();
     let ctrl_sess = ctrl_u.session().clone();
-    let ctrl_init = build_lattice_defs(&mut ctrl_u, feats, subset_defs(feats))
+    let ctrl_init = build_reference(&mut ctrl_u, feats, subset_defs(feats))
         .map_err(|e| format!("initial control build failed: {e:?}"))?;
     if init_outcome.dirty != incr_init.rows.len() {
         return Err(format!(
@@ -122,7 +122,7 @@ fn run_script(script: &EditScript) -> Result<(), String> {
                 .map_err(|e| format!("incremental step {k} failed: {e:?}"))?;
         incr_u = next_u;
         let mut cu = FamilyUniverse::with_session(ctrl_sess.clone());
-        let ctrl = build_lattice_defs(&mut cu, feats, step.defs.clone())
+        let ctrl = build_reference(&mut cu, feats, step.defs.clone())
             .map_err(|e| format!("control step {k} failed: {e:?}"))?;
 
         if outcome.total() != report.rows.len() {

@@ -1,12 +1,14 @@
 //! The full Venn-diagram lattice: 15 STLC variants, all type-safe
 //! (Section 7, case study 1).
 
+use families_stlc::Feature;
 use fpop::universe::FamilyUniverse;
 
 #[test]
 fn venn_lattice_all_typesafe() {
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_lattice(&mut u).expect("lattice must compile");
+    let report =
+        families_stlc::build_lattice(&mut u, &Feature::all(), 1).expect("lattice must compile");
     assert_eq!(report.rows.len(), 16); // base + 15 variants
     for row in &report.rows {
         let out = u.check(&row.name, "typesafe").unwrap();
@@ -27,7 +29,6 @@ fn venn_lattice_all_typesafe() {
 fn retrofit_obligation_enforced() {
     // Composing µ with × without the tysubst retrofit case is a static
     // error (Figure 3 / C1).
-    use families_stlc::lattice::Feature;
     let mut u = FamilyUniverse::new();
     u.define(families_stlc::stlc_family()).unwrap();
     u.define(families_stlc::prod::stlc_prod_family()).unwrap();
@@ -52,7 +53,7 @@ fn value_irreducibility_across_the_lattice() {
     // every variant, with feature-added value forms handled by the
     // retroactive FInduction cases.
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_extended_lattice(&mut u).unwrap();
+    let report = families_stlc::build_lattice(&mut u, &Feature::all_extended(), 1).unwrap();
     for row in &report.rows {
         let out = u.check(&row.name, "value_irred").unwrap();
         assert!(out.contains(&format!("{}.value_irred", row.name)), "{out}");

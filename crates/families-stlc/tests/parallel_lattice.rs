@@ -1,86 +1,75 @@
-//! The parallel lattice build: determinism against the sequential build,
-//! and the shared-session reuse channel it rides on.
+//! Differential oracle 2 on the fixed lattices, and the shared-session
+//! reuse channel the lattice build rides on.
 //!
-//! These are the acceptance tests of the check-session architecture: the
-//! wave-parallel build must be *observationally identical* to the
-//! sequential one (same rows, same per-variant checked/shared counts, same
-//! aggregate ledger), and the shared session must demonstrably serve
-//! proofs across variants (strictly positive cache-hit count over the
-//! 31-variant extended lattice).
+//! [`build_lattice`] must be *observationally identical* to the
+//! one-by-one reference at every worker count
+//! ([`dag_matches_reference`]: same rows, same per-variant checked/shared
+//! counts, same aggregate ledger, same session bytes and cache hits);
+//! `differential_lattice.rs` and `sched_differential.rs` check that on
+//! random sublattices and the full Venn lattice, this file on the
+//! 31-variant extended lattice. It also pins what the build is for: the
+//! DAG-built Venn lattice answers every Check query with no assumptions
+//! left open, the shared session demonstrably serves proofs across
+//! variants (strictly positive cache-hit count, quad reuse > 0.6), the
+//! ledger and session instruments agree, and one session serves two
+//! universes.
 
-use families_stlc::{
-    build_extended_lattice, build_extended_lattice_parallel, build_lattice, build_lattice_parallel,
-    LatticeReport,
-};
+use families_stlc::{build_lattice, Feature, LatticeReport};
 use fpop::universe::FamilyUniverse;
+use testkit::lattice_ref::{dag_matches_reference, export_bytes, reports_match};
 
-/// Row-by-row equality modulo wall time (which is never deterministic).
-fn assert_reports_match(seq: &LatticeReport, par: &LatticeReport) {
-    assert_eq!(seq.rows.len(), par.rows.len(), "row count differs");
-    for (s, p) in seq.rows.iter().zip(&par.rows) {
-        assert_eq!(s.name, p.name, "variant order differs");
-        assert_eq!(s.arity, p.arity, "{}: arity differs", s.name);
-        assert_eq!(s.fields, p.fields, "{}: field count differs", s.name);
-        assert_eq!(s.checked, p.checked, "{}: checked count differs", s.name);
-        assert_eq!(s.shared, p.shared, "{}: shared count differs", s.name);
-    }
+/// The quad composite's reuse ratio clears the bar the case study sets.
+fn assert_quad_reuse(report: &LatticeReport) {
+    let quad = report
+        .rows
+        .iter()
+        .find(|r| r.name == "STLCFixProdSumIsorec")
+        .expect("quad composite built");
+    assert!(quad.reuse_ratio > 0.6, "quad reuse {}", quad.reuse_ratio);
 }
 
+/// Two default-worker builds of the 15-variant Venn lattice agree row
+/// for row and byte for byte, and the DAG-built universe answers every
+/// variant's `typesafe` Check query with no assumptions left open.
 #[test]
 fn parallel_venn_lattice_is_deterministic() {
-    let mut seq_u = FamilyUniverse::new();
-    let seq = build_lattice(&mut seq_u).expect("sequential lattice");
-    let mut par_u = FamilyUniverse::new();
-    let par = build_lattice_parallel(&mut par_u).expect("parallel lattice");
-
-    assert_reports_match(&seq, &par);
-    assert!(
-        seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger),
-        "aggregate module-env ledgers diverge:\nseq checked={} shared={}\npar checked={} shared={}",
-        seq_u.modenv.ledger.checked_count(),
-        seq_u.modenv.ledger.shared_count(),
-        par_u.modenv.ledger.checked_count(),
-        par_u.modenv.ledger.shared_count(),
-    );
-    // Per-variant ledgers agree too (checked/shared series, not just sums).
-    for row in &seq.rows {
-        let a = &seq_u.modenv.ledger;
-        let b = &par_u.modenv.ledger;
-        assert_eq!(
-            a.unit_time(&row.name).is_some(),
-            b.unit_time(&row.name).is_some()
-        );
-    }
-    // And the parallel universe answers the same Check queries.
-    for row in &par.rows {
-        let out = par_u.check(&row.name, "typesafe").unwrap();
+    let workers = fpop::sched::default_workers();
+    let mut first_u = FamilyUniverse::new();
+    let first = build_lattice(&mut first_u, &Feature::all(), workers).expect("first build");
+    let mut u = FamilyUniverse::new();
+    let report = build_lattice(&mut u, &Feature::all(), workers).expect("second build");
+    reports_match(&first, &report).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(export_bytes(&first_u), export_bytes(&u));
+    assert_eq!(report.rows.len(), 16); // base + 15 variants
+    for row in &report.rows {
+        let out = u.check(&row.name, "typesafe").unwrap();
         assert!(out.contains(&format!("{}.typesafe", row.name)), "{out}");
-        assert!(par_u.family(&row.name).unwrap().assumptions.is_empty());
+        assert!(u.family(&row.name).unwrap().assumptions.is_empty());
     }
+    assert_quad_reuse(&report);
 }
 
+/// The default-worker extended lattice's shared session serves proofs
+/// across variants, and its per-family ledgers sum to the session's
+/// cache counters.
 #[test]
 fn parallel_extended_lattice_shares_through_the_session() {
     let mut u = FamilyUniverse::new();
-    let report = build_extended_lattice_parallel(&mut u).expect("extended lattice");
+    let report = build_lattice(
+        &mut u,
+        &Feature::all_extended(),
+        fpop::sched::default_workers(),
+    )
+    .expect("extended lattice");
     assert_eq!(report.rows.len(), 32); // base + 31 variants
 
-    // The shared session demonstrably served proofs across variants.
     let stats = u.session().stats();
     assert!(
         stats.cache_hits > 0,
         "expected cross-variant cache hits, got {stats:?}"
     );
     assert!(stats.cache_inserts > 0, "no proofs committed: {stats:?}");
-
-    // Reuse is at least as strong as the sequential seed's bar (the
-    // quad composite reuses > 60% of its units).
-    let quad = report
-        .rows
-        .iter()
-        .find(|r| r.name == "STLCFixProdSumIsorec")
-        .unwrap();
-    assert!(quad.reuse_ratio > 0.6, "quad reuse {}", quad.reuse_ratio);
+    assert_quad_reuse(&report);
 
     // Per-family ledger cache counters sum to the session's totals: the
     // two instruments (local ledgers, global session) agree.
@@ -94,18 +83,17 @@ fn parallel_extended_lattice_shares_through_the_session() {
     assert_eq!(misses, stats.cache_misses);
 }
 
+/// The 31-variant extended lattice matches the reference at every worker
+/// count, cache hits included, and those hits are strictly positive.
 #[test]
 fn extended_lattices_agree_and_report_hits() {
-    let mut seq_u = FamilyUniverse::new();
-    let seq = build_extended_lattice(&mut seq_u).expect("sequential extended lattice");
-    let mut par_u = FamilyUniverse::new();
-    let par = build_extended_lattice_parallel(&mut par_u).expect("parallel extended lattice");
-    assert_reports_match(&seq, &par);
-    assert!(seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger));
-    assert_eq!(
-        seq_u.session().stats().cache_hits,
-        par_u.session().stats().cache_hits,
-        "cache-hit series must be order-insensitive under wave semantics"
+    let (u, report) =
+        dag_matches_reference(&Feature::all_extended()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.rows.len(), 32); // base + 31 variants
+    let stats = u.session().stats();
+    assert!(
+        stats.cache_hits > 0,
+        "expected cross-variant cache hits, got {stats:?}"
     );
 }
 
@@ -114,13 +102,14 @@ fn one_session_spans_universes() {
     // Build the Venn lattice twice, in two *different* universes drawing on
     // one session: the second build's proofs are all cache hits, which is
     // the cross-family reuse channel of the CS1-share experiment.
+    let workers = fpop::sched::default_workers();
     let session = fpop::Session::new();
     let mut first = FamilyUniverse::with_session(session.clone());
-    build_lattice(&mut first).expect("first lattice");
+    build_lattice(&mut first, &Feature::all(), workers).expect("first lattice");
     let after_first = session.stats();
 
     let mut second = FamilyUniverse::with_session(session.clone());
-    build_lattice(&mut second).expect("second lattice");
+    build_lattice(&mut second, &Feature::all(), workers).expect("second lattice");
     let after_second = session.stats();
 
     // Every proof the second build looked up was served by the session.

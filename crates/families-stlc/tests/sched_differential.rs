@@ -1,121 +1,43 @@
-//! Differential oracle 5: the **task-DAG scheduler** against the
-//! sequential build.
+//! Differential oracle 2, scheduler side: the **task-DAG build** under
+//! schedules with more workers than the lattice has independent chains,
+//! against the from-scratch reference.
 //!
-//! `differential_lattice.rs` compares reports and aggregate ledgers on
-//! random sublattices with the default worker count; this suite pins the
-//! scheduler-specific guarantees of the field-level DAG build:
-//!
-//! * identical verdicts, row-identical reports, and `same_counts`
-//!   aggregate ledgers under a *forced* 8-worker schedule (far more
-//!   workers than this lattice has independent chains, maximizing
-//!   steal/park churn);
-//! * **byte-identical session contents**: the exported proof-cache
-//!   entries of the parallel and sequential builds render to identical
-//!   bytes, so everything downstream of the session (snapshots,
-//!   warm restarts, the engine's `FPOPSNAP` codec) is oblivious to how
-//!   the lattice was scheduled;
-//! * a deliberately cyclic task graph fails *loudly* with a diagnostic
-//!   naming the cycle, instead of hanging the build.
+//! Every DAG build here goes through [`dag_matches_reference`], so it is
+//! run at 1, 2, 4 and 8 workers and must reproduce the one-by-one
+//! reference exactly: identical verdicts, row-identical reports,
+//! `same_counts` aggregate ledgers and **byte-identical session
+//! contents**, so everything downstream of the session (snapshots, warm
+//! restarts, the engine's `FPOPSNAP` codec) is oblivious to how the
+//! lattice was scheduled. A deliberately cyclic task graph fails
+//! *loudly* with a diagnostic naming the cycle, instead of hanging the
+//! build.
 
-use families_stlc::{
-    build_lattice, build_lattice_parallel_with, build_lattice_subset,
-    build_lattice_subset_parallel_with, LatticeReport,
-};
+use families_stlc::Feature;
 use fpop::sched::{SchedError, TaskDag};
-use fpop::universe::FamilyUniverse;
 use testkit::family_gen::{gen_feature_subset, FeatureSubset};
 use testkit::forall;
+use testkit::lattice_ref::dag_matches_reference;
 
-/// Row-by-row comparison modulo wall time.
-fn reports_match(seq: &LatticeReport, par: &LatticeReport) -> Result<(), String> {
-    if seq.rows.len() != par.rows.len() {
-        return Err(format!(
-            "row count differs: seq {} vs par {}",
-            seq.rows.len(),
-            par.rows.len()
-        ));
-    }
-    for (s, p) in seq.rows.iter().zip(&par.rows) {
-        if s.name != p.name {
-            return Err(format!("variant order differs: {} vs {}", s.name, p.name));
-        }
-        if (s.arity, s.fields, s.checked, s.shared) != (p.arity, p.fields, p.checked, p.shared) {
-            return Err(format!(
-                "{}: (arity, fields, checked, shared) = ({}, {}, {}, {}) seq vs ({}, {}, {}, {}) par",
-                s.name, s.arity, s.fields, s.checked, s.shared, p.arity, p.fields, p.checked,
-                p.shared
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The session's exported entries as comparable bytes. `export()` orders
-/// entries content-deterministically, and every `Debug` rendering in the
-/// payload is structural (names, never interner ids), so equal bytes ⇔
-/// equal session contents.
-fn export_bytes(u: &FamilyUniverse) -> Vec<u8> {
-    format!("{:?}", u.session().export()).into_bytes()
-}
-
-/// Random sublattices elaborate identically under a seeded 8-worker DAG
-/// schedule and the sequential walk: same verdicts, same report rows,
-/// `same_counts` aggregate ledgers, and byte-identical exported proofs.
+/// Random sublattices elaborate identically under every DAG schedule up
+/// to 8 workers and in the reference, down to the exported proofs' bytes.
 #[test]
 fn random_sublattices_dag_8_workers_match_sequential_bytes() {
     forall(
-        "sched_dag_8w_eq_seq",
+        "sched_dag_8w_eq_reference",
         0x5C4ED11F,
         4,
         gen_feature_subset,
-        |s: &FeatureSubset| {
-            let mut seq_u = FamilyUniverse::new();
-            let seq = build_lattice_subset(&mut seq_u, &s.normalized)
-                .map_err(|e| format!("sequential build failed: {e:?}"))?;
-            let mut par_u = FamilyUniverse::new();
-            let par = build_lattice_subset_parallel_with(&mut par_u, &s.normalized, 8)
-                .map_err(|e| format!("8-worker DAG build failed: {e:?}"))?;
-            reports_match(&seq, &par)?;
-            if !seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger) {
-                return Err(format!(
-                    "aggregate ledgers diverge: seq checked={} shared={} vs par checked={} shared={}",
-                    seq_u.modenv.ledger.checked_count(),
-                    seq_u.modenv.ledger.shared_count(),
-                    par_u.modenv.ledger.checked_count(),
-                    par_u.modenv.ledger.shared_count(),
-                ));
-            }
-            if export_bytes(&seq_u) != export_bytes(&par_u) {
-                return Err("exported session entries differ byte-for-byte".into());
-            }
-            Ok(())
-        },
+        |s: &FeatureSubset| dag_matches_reference(&s.normalized).map(drop),
     );
 }
 
-/// Stress: the full 15-variant Venn lattice under 2, 4, and 8 workers —
-/// every schedule must reproduce the sequential build exactly, including
-/// the session's exported bytes.
+/// Stress: the full 15-variant Venn lattice at 1, 2, 4 and 8 workers —
+/// every schedule must reproduce the reference exactly, including the
+/// session's exported bytes.
 #[test]
 fn full_lattice_stress_across_worker_counts() {
-    let mut seq_u = FamilyUniverse::new();
-    let seq = build_lattice(&mut seq_u).expect("sequential build");
-    let seq_bytes = export_bytes(&seq_u);
-    for workers in [2, 4, 8] {
-        let mut par_u = FamilyUniverse::new();
-        let par = build_lattice_parallel_with(&mut par_u, workers)
-            .unwrap_or_else(|e| panic!("{workers}-worker build failed: {e:?}"));
-        reports_match(&seq, &par).unwrap_or_else(|e| panic!("{workers} workers: {e}"));
-        assert!(
-            seq_u.modenv.ledger.same_counts(&par_u.modenv.ledger),
-            "{workers} workers: aggregate ledgers diverge"
-        );
-        assert_eq!(
-            seq_bytes,
-            export_bytes(&par_u),
-            "{workers} workers: exported session entries differ"
-        );
-    }
+    let (_, report) = dag_matches_reference(&Feature::all()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.rows.len(), 16); // base + 15 variants
 }
 
 /// A deliberately cyclic dependency graph is rejected with a loud

@@ -17,7 +17,8 @@ fn stlc_bool_inherits_typesafe() {
 #[test]
 fn extended_lattice_31_variants() {
     let mut u = FamilyUniverse::new();
-    let report = families_stlc::build_extended_lattice(&mut u).expect("extended lattice");
+    let report = families_stlc::build_lattice(&mut u, &families_stlc::Feature::all_extended(), 1)
+        .expect("extended lattice");
     assert_eq!(report.rows.len(), 32); // base + 31 variants
     for row in &report.rows {
         assert!(

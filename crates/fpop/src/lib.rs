@@ -80,8 +80,9 @@ pub use session::{
 pub use universe::FamilyUniverse;
 
 // Concurrency audit: compiled families cross thread boundaries in the
-// parallel lattice build, and the universe itself must be shareable by
-// reference with worker threads (`&FamilyUniverse` + `compile_detached`).
+// task-DAG lattice build (workers hand them to the commit loop behind an
+// `Arc`), and the universe and session are shared by reference with the
+// worker threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledFamily>();

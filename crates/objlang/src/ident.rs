@@ -245,6 +245,30 @@ const _: () = {
 mod tests {
     use super::*;
 
+    /// Runs `body`, which compares the process-wide
+    /// [`Symbol::interned_count`], with nothing else interning: sibling
+    /// tests intern on other threads, so the test re-runs this test
+    /// binary filtered to exactly `test` on one thread, and only that
+    /// child process executes `body`.
+    fn alone_in_process(test: &str, body: impl FnOnce()) {
+        const CHILD: &str = "OBJLANG_INTERN_COUNT_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            body();
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", test, "--test-threads=1"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{test} in its own process:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
     #[test]
     fn intern_roundtrip() {
         let s = Symbol::new("hello_world");
@@ -259,12 +283,14 @@ mod tests {
 
     #[test]
     fn get_does_not_intern() {
-        assert!(Symbol::get("never_interned_name_qq").is_none());
-        let before = Symbol::interned_count();
-        assert!(Symbol::get("never_interned_name_qq2").is_none());
-        assert_eq!(Symbol::interned_count(), before);
-        let s = Symbol::new("now_interned_name_qq");
-        assert_eq!(Symbol::get("now_interned_name_qq"), Some(s));
+        alone_in_process("ident::tests::get_does_not_intern", || {
+            assert!(Symbol::get("never_interned_name_qq").is_none());
+            let before = Symbol::interned_count();
+            assert!(Symbol::get("never_interned_name_qq2").is_none());
+            assert_eq!(Symbol::interned_count(), before);
+            let s = Symbol::new("now_interned_name_qq");
+            assert_eq!(Symbol::get("now_interned_name_qq"), Some(s));
+        });
     }
 
     #[test]
@@ -285,20 +311,25 @@ mod tests {
 
     #[test]
     fn freshen_interns_at_most_one_new_symbol() {
-        // Pre-intern a long run of candidates, mark them all taken, and
-        // verify freshen probes through them without interning more than
-        // the single winner.
-        let base = Symbol::new("fr_base");
-        let taken: Vec<Symbol> = (0..64)
-            .map(|i| Symbol::new(&format!("fr_base'{i}")))
-            .collect();
-        let before = Symbol::interned_count();
-        let fresh = base.freshen(&|s| s == base || taken.contains(&s));
-        assert_eq!(fresh.as_str(), "fr_base'64");
-        assert_eq!(
-            Symbol::interned_count(),
-            before + 1,
-            "only the winning candidate may be interned"
+        alone_in_process(
+            "ident::tests::freshen_interns_at_most_one_new_symbol",
+            || {
+                // Pre-intern a long run of candidates, mark them all taken, and
+                // verify freshen probes through them without interning more than
+                // the single winner.
+                let base = Symbol::new("fr_base");
+                let taken: Vec<Symbol> = (0..64)
+                    .map(|i| Symbol::new(&format!("fr_base'{i}")))
+                    .collect();
+                let before = Symbol::interned_count();
+                let fresh = base.freshen(&|s| s == base || taken.contains(&s));
+                assert_eq!(fresh.as_str(), "fr_base'64");
+                assert_eq!(
+                    Symbol::interned_count(),
+                    before + 1,
+                    "only the winning candidate may be interned"
+                );
+            },
         );
     }
 

@@ -3,7 +3,7 @@
 //! The paper's claims are metatheoretic, but after the check-session,
 //! engine, and snapshot PRs the riskiest code in this repository is
 //! *infrastructure* the paper never had: a concurrent content-addressed
-//! proof cache, parallel lattice builders, a binary snapshot codec, and a
+//! proof cache, a parallel lattice builder, a binary snapshot codec, and a
 //! TCP daemon. This crate is the correctness tooling that continuously
 //! checks those optimized paths against slow reference oracles — the
 //! test-archetype analogue of a race detector for a proof engine.
@@ -32,6 +32,10 @@
 //! * [`edit_gen`] — random edit scripts (touch / add-lemma /
 //!   remove-lemma over a sub-lattice, with shrinking), feeding oracle
 //!   #10: incremental recheck vs from-scratch rebuild.
+//! * [`lattice_ref`] — the from-scratch lattice reference: a plain loop
+//!   of `FamilyUniverse::define` over a definition list, recording the
+//!   same report rows as the task-DAG build. The control of oracles #2
+//!   (DAG at several worker counts) and #10 (incremental recheck).
 //! * [`store_gen`] — random proof-cache stores ([`fpop::ExportEntry`]
 //!   vectors with arbitrary terms, props, tactics, and sequents) for
 //!   exercising the `FPOPSNAP` codec.
@@ -51,6 +55,7 @@
 pub mod edit_gen;
 pub mod family_gen;
 pub mod harness;
+pub mod lattice_ref;
 pub mod objfun_gen;
 pub mod rng;
 pub mod script_gen;
