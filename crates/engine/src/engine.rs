@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use families_stlc::build_lattice;
+use families_stlc::{normalize_features, Feature, LatticePlan};
 use fpop::{ExportMark, FamilyUniverse, Session, StatsSnapshot};
 use modsys::CheckLedger;
 
@@ -402,6 +402,11 @@ struct Shared {
     sigs: Mutex<HashMap<String, Arc<objlang::sig::Signature>>>,
     /// Registered templates, keyed by content digest (see [`Template`]).
     templates: Mutex<HashMap<u64, Template>>,
+    /// Lattice plans, keyed by normalized feature set: `BuildLattice` and
+    /// `Redefine` over one set plan it once. Bounded by the number of
+    /// feature subsets; derived data only — never snapshotted, exported
+    /// or sent over the wire.
+    plans: Mutex<HashMap<Vec<Feature>, Arc<LatticePlan>>>,
     /// Cumulative ledger absorbed over every request this engine served.
     ledger: Mutex<CheckLedger>,
     /// Slow-elaboration log: top-N served requests by service time among
@@ -425,22 +430,36 @@ struct Shared {
 
 impl Shared {
     /// Records a finished universe: absorbs its per-family ledgers into a
-    /// combined ledger (returned), registers its theorems, and folds the
-    /// combined ledger into the engine-lifetime ledger.
+    /// combined ledger (returned), registers its signatures and theorems,
+    /// and folds the combined ledger into the engine-lifetime ledger.
+    ///
+    /// A family whose registered signature is the very `Arc` it carries
+    /// was registered from this same compiled family before (a memo
+    /// replay or cutoff adopts the recorded `Arc<CompiledFamily>`), so its
+    /// registry entries are already current and it is skipped. The
+    /// registry holds that `Arc`, so its pointer cannot be reused by
+    /// another signature.
     fn absorb_universe(&self, u: &FamilyUniverse) -> CheckLedger {
         let mut combined = CheckLedger::new();
         let mut theorems = self.theorems.lock().expect("theorem registry poisoned");
         let mut sigs = self.sigs.lock().expect("signature registry poisoned");
         for name in u.names() {
-            let fam_name = name.as_str().to_string();
-            if let Some(fam) = u.family(&fam_name) {
-                combined.absorb(&fam.ledger);
-                sigs.insert(fam_name.clone(), Arc::new(fam.sig.clone()));
-                for field in fam.theorems.keys() {
-                    let field_name = field.as_str().to_string();
-                    if let Ok(stmt) = u.check(&fam_name, &field_name) {
-                        theorems.insert((fam_name.clone(), field_name), stmt);
-                    }
+            let fam_name = name.as_str();
+            let Some(fam) = u.family(fam_name) else {
+                continue;
+            };
+            combined.absorb(&fam.ledger);
+            if sigs
+                .get(fam_name)
+                .is_some_and(|sig| Arc::ptr_eq(sig, &fam.sig))
+            {
+                continue;
+            }
+            sigs.insert(fam_name.to_string(), Arc::clone(&fam.sig));
+            for field in fam.theorems.keys() {
+                let field_name = field.as_str().to_string();
+                if let Ok(stmt) = u.check(fam_name, &field_name) {
+                    theorems.insert((fam_name.to_string(), field_name), stmt);
                 }
             }
         }
@@ -451,6 +470,25 @@ impl Shared {
             .expect("engine ledger poisoned")
             .absorb(&combined);
         combined
+    }
+
+    /// The cached plan of a feature set's sub-lattice, planned on first
+    /// use. Plans outside the lock; when two workers race, the first
+    /// insert wins (plans of one set are interchangeable).
+    fn lattice_plan(&self, features: &[Feature]) -> Result<Arc<LatticePlan>, EngineError> {
+        let key = normalize_features(features);
+        if let Some(plan) = self.plans.lock().expect("plan cache poisoned").get(&key) {
+            return Ok(Arc::clone(plan));
+        }
+        let plan =
+            Arc::new(LatticePlan::new(&key).map_err(|e| EngineError::Failed(e.to_string()))?);
+        Ok(Arc::clone(
+            self.plans
+                .lock()
+                .expect("plan cache poisoned")
+                .entry(key)
+                .or_insert(plan),
+        ))
     }
 
     fn execute(&self, request: Request) -> JobResult {
@@ -470,14 +508,16 @@ impl Shared {
                 Ok(Response::Checked { outputs, ledger })
             }
             Request::BuildLattice { features } => {
+                let plan = self.lattice_plan(&features)?;
                 let mut u = FamilyUniverse::with_session(Arc::clone(&self.session));
                 // Field-level task DAG: a single cold batch elaborates
                 // across the scheduler's workers instead of pinning one
                 // queue worker (same verdicts, ledgers, and session
                 // contents at every worker count — see the parallel
                 // differential oracle).
-                let report = build_lattice(&mut u, &features, self.sched_workers)
-                    .map_err(|e| EngineError::Failed(e.to_string()))?;
+                let report =
+                    families_stlc::build_lattice_planned(&mut u, &plan, self.sched_workers)
+                        .map_err(|e| EngineError::Failed(e.to_string()))?;
                 let ledger = self.absorb_universe(&u);
                 Ok(Response::Lattice { report, ledger })
             }
@@ -486,16 +526,16 @@ impl Shared {
                 field,
                 features,
             } => {
-                // Incremental recheck: the elaboration memo lives in the
-                // shared session, so a fresh universe over the same session
-                // replays every variant whose fingerprint chain is clean and
-                // re-proves only the dirty cone rooted at `family`. The
-                // touched field is validated against the merged (inherited)
-                // view before any work runs.
-                let prev = FamilyUniverse::with_session(Arc::clone(&self.session));
-                let (u, report, _outcome) = families_stlc::recheck_lattice_subset_with(
-                    &prev,
-                    &features,
+                // Incremental recheck over the feature set's cached plan:
+                // the elaboration memo lives in the shared session, so the
+                // build replays every variant whose fingerprint chain is
+                // clean and re-proves only the dirty cone rooted at
+                // `family`. The touched field is validated against the
+                // merged (inherited) view before any work runs.
+                let plan = self.lattice_plan(&features)?;
+                let (u, report, _outcome) = families_stlc::recheck_lattice_planned(
+                    &self.session,
+                    &plan,
                     &family,
                     &field,
                     self.sched_workers,
@@ -725,6 +765,12 @@ impl Shared {
             "engine_sched_workers",
             "task-DAG scheduler threads inside each BuildLattice request",
             self.sched_workers as i64,
+        );
+        render_gauge(
+            &mut out,
+            "engine_lattice_plans",
+            "lattice plans cached, one per feature set built or redefined",
+            self.plans.lock().expect("plan cache poisoned").len() as i64,
         );
         render_counter(
             &mut out,
@@ -1016,6 +1062,7 @@ impl Engine {
             theorems: Mutex::new(HashMap::new()),
             sigs: Mutex::new(HashMap::new()),
             templates: Mutex::new(HashMap::new()),
+            plans: Mutex::new(HashMap::new()),
             ledger: Mutex::new(CheckLedger::new()),
             slow: Mutex::new(Vec::new()),
             slow_threshold: config.slow_threshold,

@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use engine::{proto, Engine, EngineConfig, EngineError, Priority, Request, Response};
@@ -197,8 +197,20 @@ fn shutdown_drains_accepted_work_and_rejects_new() {
     assert_eq!(e.shutdown().unwrap(), None);
 }
 
+/// Serializes the tests that run `Redefine`: the `fpop_incr_*` counters
+/// they read are process-global, so one test's recheck would otherwise
+/// land in the other's counter window.
+static INCR_COUNTERS: Mutex<()> = Mutex::new(());
+
+fn serialize_incr_counters() -> MutexGuard<'static, ()> {
+    INCR_COUNTERS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn redefine_recheck_serves_clean_variants_from_memo() {
+    let _serial = serialize_incr_counters();
     let e = Engine::start(no_snapshot(2));
     // Warm build records elaboration memos in the shared session.
     let rows = match e.run(Request::lattice_full()) {
@@ -243,6 +255,82 @@ fn redefine_recheck_serves_clean_variants_from_memo() {
     }) {
         Err(EngineError::Failed(msg)) => assert!(msg.contains("no_such_field"), "{msg}"),
         other => panic!("expected Failed, got {other:?}"),
+    }
+    e.shutdown().unwrap();
+}
+
+/// A family named like a lattice variant, with its own theorem set and
+/// signature (no `subst`, no `tm_fix`).
+const SHADOW_FIX: &str = "Family STLCFix.
+  FInductive num := n_zero | n_one.
+  FTheorem typesafe : n_one = n_one.
+  Proof. reflexivity. Qed.
+  FTheorem step_fix_inv : n_zero = n_zero.
+  Proof. reflexivity. Qed.
+End STLCFix.
+";
+
+/// The engine skips re-registering a memo-served family only when its
+/// registered signature is that family's own `Arc`. A `CheckSource` that
+/// reuses a lattice variant's name replaces the variant's registry
+/// entries; a later `Redefine` that serves the variant from the memo
+/// (adopting the very compiled family the first build registered) must
+/// put the lattice's statements and signature back.
+#[test]
+fn redefine_restores_registry_entries_a_same_named_check_replaced() {
+    let _serial = serialize_incr_counters();
+    let e = Engine::start(no_snapshot(2));
+    let fix = vec![Feature::Fix];
+    e.run(Request::BuildLattice {
+        features: fix.clone(),
+    })
+    .unwrap();
+    let query = |field: &str| match e.run(Request::QueryTheorem {
+        family: "STLCFix".into(),
+        field: field.into(),
+    }) {
+        Ok(Response::Theorem { statement, .. }) => statement,
+        other => panic!("query STLCFix.{field}: {other:?}"),
+    };
+    // Lattice-only syntax: `subst` under the `tm_fix` binder.
+    let eval = || {
+        e.run(Request::Eval {
+            family: "STLCFix".into(),
+            term: r#"subst(tm_fix("y", tm_var("x")), "x", tm_unit)"#.into(),
+        })
+    };
+    let lattice_thms = (query("typesafe"), query("step_fix_inv"));
+    let lattice_value = match eval() {
+        Ok(Response::Eval { value, .. }) => value,
+        other => panic!("eval on the lattice's STLCFix: {other:?}"),
+    };
+
+    e.run(Request::CheckSource {
+        source: SHADOW_FIX.into(),
+    })
+    .unwrap();
+    assert_ne!(query("typesafe"), lattice_thms.0);
+    assert_ne!(query("step_fix_inv"), lattice_thms.1);
+    match eval() {
+        Err(EngineError::Failed(msg)) => assert!(msg.contains("parse error"), "{msg}"),
+        other => panic!("eval on the same-named check's signature: {other:?}"),
+    }
+
+    // Touch the base: STLCFix is served by early cutoff, not re-run.
+    let dirty_before = fpop::incr::incr_counter("dirty");
+    match e.run(Request::Redefine {
+        family: "STLC".into(),
+        field: "subst".into(),
+        features: fix,
+    }) {
+        Ok(Response::Lattice { report, .. }) => assert_eq!(report.rows.len(), 2),
+        other => panic!("redefine: {other:?}"),
+    }
+    assert!(fpop::incr::incr_counter("dirty") > dirty_before);
+    assert_eq!((query("typesafe"), query("step_fix_inv")), lattice_thms);
+    match eval() {
+        Ok(Response::Eval { value, .. }) => assert_eq!(value, lattice_value),
+        other => panic!("eval after redefine: {other:?}"),
     }
     e.shutdown().unwrap();
 }

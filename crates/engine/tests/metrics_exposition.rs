@@ -106,6 +106,8 @@ fn exposition_agrees_with_stats_snapshot() {
     assert_eq!(sample(&text, "engine_completed_total"), 1);
     assert_eq!(sample(&text, "engine_failed_total"), 0);
     assert_eq!(sample(&text, "engine_queue_capacity"), 64);
+    // One feature set built, one lattice plan cached.
+    assert_eq!(sample(&text, "engine_lattice_plans"), 1);
 
     // Service-time histogram: one observation (the lattice), cumulative
     // buckets non-decreasing, +Inf bucket equals the count.

@@ -25,6 +25,8 @@
 //! reports, ledgers, and the session contents are bit-for-bit the same at
 //! every worker count — and the same as defining the variants one by one
 //! in that order — whatever order the workers actually ran in.
+//! [`build_lattice_planned`] is the same build over a kept
+//! [`LatticePlan`], for callers that serve many requests per feature set.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -34,7 +36,7 @@ use fpop::family::FamilyDef;
 use fpop::incr::{self, IncrOutcome};
 use fpop::merge::MergedFamily;
 use fpop::sched::{SchedError, TaskDag};
-use fpop::session::CacheTxn;
+use fpop::session::{CacheTxn, Session};
 use fpop::universe::FamilyUniverse;
 use modsys::{CheckLedger, ModuleEnv};
 use objlang::error::{Error, Result};
@@ -48,7 +50,7 @@ use crate::sum::stlc_sum_family;
 /// The features, in canonical composition order. The paper's Venn diagram
 /// covers the first four; `Bool` is the Section 6.5 family, giving an
 /// extended 31-variant lattice.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Feature {
     /// ε — fixpoints (`STLCFix`).
     Fix,
@@ -289,6 +291,68 @@ fn subset_plan(features: &[Feature]) -> Vec<PlanEntry> {
     plan
 }
 
+/// The plan of one sub-lattice: its canonical-order entries, every
+/// variant's merged family, and every merge's source digest — a pure
+/// function of the normalized feature set, built once and borrowed by
+/// every build and recheck over that set. Planning merges all variants
+/// and Debug-hashes every merged field, so a caller serving many requests
+/// over one feature set (the `fpopd` engine) keeps the plan and pays it
+/// once; see [`build_lattice_planned`] and [`recheck_lattice_planned`].
+pub struct LatticePlan {
+    features: Vec<Feature>,
+    entries: Vec<PlanEntry>,
+    merged: Vec<MergedFamily>,
+    src: Vec<u64>,
+}
+
+impl LatticePlan {
+    /// Plans the sub-lattice spanned by `features` (in any order, with
+    /// duplicates) from scratch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a merge failure (none are expected; the lattice is the
+    /// Section 7 case-study payload).
+    pub fn new(features: &[Feature]) -> Result<LatticePlan> {
+        LatticePlan::in_universe(&FamilyUniverse::new(), features)
+    }
+
+    /// Plans against `u`'s compiled families, so a variant name `u`
+    /// already defines fails here, before anything elaborates.
+    fn in_universe(u: &FamilyUniverse, features: &[Feature]) -> Result<LatticePlan> {
+        let entries = subset_plan(features);
+        let merged = u.plan(entries.iter().map(|p| &p.def))?;
+        let src = merged.iter().map(incr::source_digest_merged).collect();
+        Ok(LatticePlan {
+            features: normalize_features(features),
+            entries,
+            merged,
+            src,
+        })
+    }
+
+    /// Rejects a `redefine` touch of a variant outside the plan, or of a
+    /// field missing from the variant's merged (inherited) view.
+    fn check_touch(&self, family: &str, field: &str) -> Result<()> {
+        let m = self
+            .merged
+            .iter()
+            .find(|m| m.name.as_str() == family)
+            .ok_or_else(|| {
+                Error::new(format!(
+                    "redefine: {family} is not a variant of this sub-lattice (features {:?})",
+                    self.features
+                ))
+            })?;
+        if !m.fields.iter().any(|f| f.name.as_str() == field) {
+            return Err(Error::new(format!(
+                "redefine: family {family} has no field {field}"
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// What a DAG node does for its variant: check the next field, or close
 /// the family and extract the commit payload.
 enum NodeKind {
@@ -375,10 +439,23 @@ pub fn build_lattice(
     features: &[Feature],
     workers: usize,
 ) -> Result<LatticeReport> {
-    let plan = subset_plan(features);
-    let merged = u.plan(plan.iter().map(|p| &p.def))?;
-    let src = merged.iter().map(incr::source_digest_merged).collect();
-    Ok(build_dag_incr(u, plan, merged, src, MemoMode::Record, workers)?.0)
+    build_lattice_planned(u, &LatticePlan::in_universe(u, features)?, workers)
+}
+
+/// [`build_lattice`] over an already built [`LatticePlan`]: the same
+/// build, minus the planning. `u` must not yet define any of the plan's
+/// variants.
+///
+/// # Errors
+///
+/// As for [`build_lattice`]; a variant `u` already defines is rejected
+/// when it is registered.
+pub fn build_lattice_planned(
+    u: &mut FamilyUniverse,
+    plan: &LatticePlan,
+    workers: usize,
+) -> Result<LatticeReport> {
+    Ok(build_dag_incr(u, plan, MemoMode::Record, workers)?.0)
 }
 
 /// [`build_lattice`] with an explicit memo policy — the incremental-recheck
@@ -402,13 +479,17 @@ pub fn build_lattice(
 /// bit-for-bit equal to a from-scratch build's.
 fn build_dag_incr(
     u: &mut FamilyUniverse,
-    plan: Vec<PlanEntry>,
-    merged: Vec<MergedFamily>,
-    src: Vec<u64>,
+    plan: &LatticePlan,
     mode: MemoMode,
     workers: usize,
 ) -> Result<(LatticeReport, IncrOutcome)> {
-    let n = plan.len();
+    let LatticePlan {
+        entries,
+        merged,
+        src,
+        ..
+    } = plan;
+    let n = entries.len();
     debug_assert_eq!(merged.len(), n);
     debug_assert_eq!(src.len(), n);
     let (consult, forced) = match mode {
@@ -423,7 +504,7 @@ fn build_dag_incr(
         .map(|i| {
             (0..i)
                 .filter(|&j| {
-                    let (mi, mj) = (plan[i].mask, plan[j].mask);
+                    let (mi, mj) = (entries[i].mask, entries[j].mask);
                     mj & mi == mj && mj != mi
                 })
                 .collect()
@@ -616,7 +697,7 @@ fn build_dag_incr(
     // as hits (no proof work was paid this build).
     let mut report = LatticeReport::default();
     let mut outcome = IncrOutcome::default();
-    for (entry, state) in plan.iter().zip(states) {
+    for (entry, state) in entries.iter().zip(states) {
         let run = state.into_inner().expect("variant state poisoned");
         let done = run.done.expect("every variant finished");
         u.modenv
@@ -713,35 +794,42 @@ pub fn build_lattice_defs_incr_with(
     touch: &[&str],
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
-    let plan = plan_with_defs(features, defs)?;
-    let (merged, _edited, src) = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
-    incr_build(prev, plan, merged, src, touch, workers)
+    let plan = replan(prev, features, plan_with_defs(features, defs)?)?;
+    incr_build(prev.session(), &plan, touch, workers)
+}
+
+/// Replans `entries` against `prev`'s compiled families (see
+/// [`FamilyUniverse::replan_after_edit`]).
+fn replan(
+    prev: &FamilyUniverse,
+    features: &[Feature],
+    entries: Vec<PlanEntry>,
+) -> Result<LatticePlan> {
+    let (merged, _edited, src) = prev.replan_after_edit(entries.iter().map(|p| &p.def))?;
+    Ok(LatticePlan {
+        features: normalize_features(features),
+        entries,
+        merged,
+        src,
+    })
 }
 
 /// Shared tail of the incremental entry points: seeds the forced set from
-/// `touch` and runs the consult-mode DAG build over an already replanned
-/// lattice on `prev`'s session.
+/// `touch` and runs the consult-mode DAG build over a planned lattice into
+/// a fresh universe on `session`.
 fn incr_build(
-    prev: &FamilyUniverse,
-    plan: Vec<PlanEntry>,
-    merged: Vec<MergedFamily>,
-    src: Vec<u64>,
+    session: &Arc<Session>,
+    plan: &LatticePlan,
     touch: &[&str],
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
     let forced: Vec<bool> = plan
+        .entries
         .iter()
         .map(|p| touch.contains(&p.def.name.as_str()))
         .collect();
-    let mut next = FamilyUniverse::with_session(prev.session().clone());
-    let (report, outcome) = build_dag_incr(
-        &mut next,
-        plan,
-        merged,
-        src,
-        MemoMode::Consult(forced),
-        workers,
-    )?;
+    let mut next = FamilyUniverse::with_session(Arc::clone(session));
+    let (report, outcome) = build_dag_incr(&mut next, plan, MemoMode::Consult(forced), workers)?;
     Ok((next, report, outcome))
 }
 
@@ -750,7 +838,8 @@ fn incr_build(
 /// every dependent variant be served by early cutoff; independent
 /// variants replay outright. Validates that `family` is a variant of the
 /// sub-lattice and that `field` exists in its merged view (inherited
-/// fields are redefinable too).
+/// fields are redefinable too). Replans against `prev`; a caller that
+/// keeps the plan uses [`recheck_lattice_planned`].
 ///
 /// # Errors
 ///
@@ -763,25 +852,27 @@ pub fn recheck_lattice_subset_with(
     field: &str,
     workers: usize,
 ) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
-    let defs = subset_defs(features);
-    if !defs.iter().any(|d| d.name.as_str() == family) {
-        return Err(Error::new(format!(
-            "redefine: {family} is not a variant of this sub-lattice (features {:?})",
-            normalize_features(features)
-        )));
-    }
-    let plan = plan_with_defs(features, defs)?;
-    let (merged, _edited, src) = prev.replan_after_edit(plan.iter().map(|p| &p.def))?;
-    let m = merged
-        .iter()
-        .find(|m| m.name.as_str() == family)
-        .expect("name validated above");
-    if !m.fields.iter().any(|f| f.name.as_str() == field) {
-        return Err(Error::new(format!(
-            "redefine: family {family} has no field {field}"
-        )));
-    }
-    incr_build(prev, plan, merged, src, &[family], workers)
+    let plan = replan(prev, features, subset_plan(features))?;
+    recheck_lattice_planned(prev.session(), &plan, family, field, workers)
+}
+
+/// [`recheck_lattice_subset_with`] over an already built [`LatticePlan`],
+/// into a fresh universe on `session`, whose elaboration memo serves
+/// every clean variant. A `redefine` never changes a definition, so the
+/// plan of its feature set is all the replanning it needs.
+///
+/// # Errors
+///
+/// As for [`recheck_lattice_subset_with`].
+pub fn recheck_lattice_planned(
+    session: &Arc<Session>,
+    plan: &LatticePlan,
+    family: &str,
+    field: &str,
+    workers: usize,
+) -> Result<(FamilyUniverse, LatticeReport, IncrOutcome)> {
+    plan.check_touch(family, field)?;
+    incr_build(session, plan, &[family], workers)
 }
 
 #[cfg(test)]

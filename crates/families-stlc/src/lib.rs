@@ -18,6 +18,7 @@ pub mod util;
 
 pub use base::stlc_family;
 pub use lattice::{
-    build_lattice, build_lattice_defs_incr_with, normalize_features, recheck_lattice_subset_with,
-    subset_defs, variant_name, Feature, LatticeReport, VariantStat,
+    build_lattice, build_lattice_defs_incr_with, build_lattice_planned, normalize_features,
+    recheck_lattice_planned, recheck_lattice_subset_with, subset_defs, variant_name, Feature,
+    LatticePlan, LatticeReport, VariantStat,
 };

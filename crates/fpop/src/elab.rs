@@ -25,6 +25,7 @@
 //! reaches across every family (and thread) drawing on the same session.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use objlang::error::{Error, Result};
@@ -50,8 +51,9 @@ pub struct CompiledFamily {
     pub base: Option<Symbol>,
     /// The merged fields, for delta extraction by mixin users.
     pub fields: Vec<MergedField>,
-    /// The closed signature (recursive functions concrete; evaluator-ready).
-    pub sig: Signature,
+    /// The closed signature (recursive functions concrete; evaluator-ready),
+    /// shared so registries that serve evaluation hold it by pointer.
+    pub sig: Arc<Signature>,
     /// Theorems proven in (or inherited by) the family: name → statement.
     pub theorems: HashMap<Symbol, Prop>,
     /// Outstanding assumptions: `Parameter` fields, `Admitted` proofs and
@@ -248,7 +250,7 @@ impl<'m> FieldElab<'m> {
             name: merged.name,
             base: merged.base,
             fields: merged.fields.clone(),
-            sig: closed,
+            sig: Arc::new(closed),
             theorems: self.theorems,
             assumptions: self.assumptions,
             ledger: self.ledger,

@@ -160,6 +160,8 @@ fn weakening_out_of_range_rejected() {
 /// controls beside each refusal pin that the licence itself works, so a
 /// failure here means the tactic's shape check regressed, not the lattice.
 mod family_tactics {
+    use std::sync::Arc;
+
     use families_stlc::{build_lattice, Feature};
     use fpop::universe::FamilyUniverse;
     use objlang::sig::Signature;
@@ -167,7 +169,7 @@ mod family_tactics {
     use objlang::ProofState;
 
     /// The closed signatures of three single-feature variants.
-    fn variant_sigs() -> Vec<(&'static str, Signature)> {
+    fn variant_sigs() -> Vec<(&'static str, Arc<Signature>)> {
         let mut u = FamilyUniverse::new();
         build_lattice(&mut u, &[Feature::Prod, Feature::Sum, Feature::Bool], 1)
             .expect("lattice builds");
