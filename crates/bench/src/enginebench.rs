@@ -1,8 +1,10 @@
 //! Engine throughput: req/sec of the `fpopd` worker pool over a mixed
 //! `CheckSource` + `BuildLattice` batch, cold cache vs warm
 //! (snapshot-restored) cache — the ENGINE-tput experiment — plus the
-//! wire-protocol series (ENGINE-wire): the same warm request shipped
-//! over TCP, turn-based text vs pipelined fpopb/1 binary templates.
+//! service-level `redefine` and fleet failover recovery. Warm serving
+//! over the wire, direct and through the fleet router, is measured end
+//! to end by `fpopbench` (`serve_direct`, `serve_fleet`), which also
+//! verifies every reply.
 
 use crate::harness::Bencher;
 use engine::{Engine, EngineConfig, Request};
@@ -95,9 +97,7 @@ pub fn run(b: &mut Bencher) {
     redefine_series(b);
 
     #[cfg(unix)]
-    wire_series(b);
-    #[cfg(unix)]
-    fleet_series(b);
+    failover_series(b);
 }
 
 /// The `redefine` verb end to end: a warm engine holds the full lattice's
@@ -130,185 +130,21 @@ fn redefine_series(b: &mut Bencher) {
     engine.shutdown().expect("engine shutdown");
 }
 
-/// Requests per timed iteration of the wire series: large enough that
-/// per-iteration connection state is negligible, small enough that a
-/// quick run stays instant.
+/// ENGINE-fleet failover: wall time from losing a digest's home shard to
+/// the router answering that digest with a real verdict again
+/// (detection + re-route; the surviving shard is already warm).
 #[cfg(unix)]
-const WIRE_BATCH: usize = 100;
-
-/// ENGINE-wire: one warm `CheckSource` request shipped `WIRE_BATCH`
-/// times over real loopback TCP — first turn-based over the text
-/// protocol (write line, block on the reply line, repeat: the wire
-/// discipline every client had before fpopb/1), then as pipelined
-/// binary `SubmitTemplate` frames at in-flight windows of 1/16/64.
-/// Depth 1 isolates the codec + template-memo win; 16 and 64 add the
-/// pipelining win. `speedup_vs_text` on the pipelined rows is the
-/// headline PERF-wire number.
-#[cfg(unix)]
-fn wire_series(b: &mut Bencher) {
-    use engine::fpopb;
-    use engine::request::Priority;
-    use std::io::{BufRead, BufReader, Write};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    eprintln!("\n== engine: wire protocols (text vs pipelined fpopb/1) ==");
-    let engine = engine_with(4, None);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let engine = Arc::clone(&engine);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || engine::proto::serve(engine, listener, stop))
-    };
-
-    let hot = Request::CheckSource {
-        source: PEANO.to_string(),
-    };
-    // Warm the proof cache and register the template once, outside the
-    // timed region: every measured request is a warm hit.
-    engine
-        .submit(hot.clone())
-        .expect("warm submit")
-        .wait()
-        .expect("warm check");
-    let digest = {
-        let mut c = fpopb::Client::connect(addr).expect("connect");
-        c.register_template(&hot).expect("register template")
-    };
-
-    let line = {
-        let mut l = format!("check {}", engine::proto::escape(PEANO));
-        l.push('\n');
-        l.into_bytes()
-    };
-    b.bench_time("engine/text_warm_tcp", WIRE_BATCH as f64, || {
-        let stream = std::net::TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).ok();
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        let mut reply = String::new();
-        let t = Instant::now();
-        for _ in 0..WIRE_BATCH {
-            writer.write_all(&line).expect("write");
-            writer.flush().expect("flush");
-            reply.clear();
-            reader.read_line(&mut reply).expect("read");
-            assert!(reply.starts_with("ok"), "got: {reply}");
-        }
-        t.elapsed()
-    });
-
-    for depth in [1usize, 16, 64] {
-        b.bench_time(
-            &format!("engine/pipelined_warm_d{depth}"),
-            WIRE_BATCH as f64,
-            || {
-                let mut c = fpopb::Client::connect(addr).expect("connect");
-                let (mut sent, mut done) = (0usize, 0usize);
-                let t = Instant::now();
-                while done < WIRE_BATCH {
-                    while sent < WIRE_BATCH && sent - done < depth {
-                        c.send_submit_template(digest, Priority::Normal)
-                            .expect("send");
-                        sent += 1;
-                    }
-                    let frame = c.recv().expect("recv");
-                    assert!(
-                        !matches!(frame.ty, fpopb::FrameType::Err),
-                        "template submit failed"
-                    );
-                    done += 1;
-                }
-                t.elapsed()
-            },
-        );
-    }
-    for depth in [1usize, 16, 64] {
-        b.mark_speedup_vs_text(
-            &format!("engine/pipelined_warm_d{depth}"),
-            "engine/text_warm_tcp",
-        );
-    }
-
-    stop.store(true, Ordering::SeqCst);
-    server.join().expect("server thread").expect("server exit");
-    engine.shutdown().expect("engine shutdown");
-}
-
-/// ENGINE-fleet: warm pipelined submits through the consistent-hash
-/// router at shard counts 1/2/4, plus failover recovery. The 1-shard
-/// fleet is the `speedup_vs_single` baseline, so the ratio isolates the
-/// sharding effect — router hop and codec costs appear on both sides.
-/// Read the numbers with the EXPERIMENTS.md caveat in mind: every shard
-/// shares one core and one loopback interface here, so the series pins
-/// the *overhead* of sharding (ratio ≈ 1 is the expected healthy
-/// outcome), not the multi-machine scaling claim.
-#[cfg(unix)]
-fn fleet_series(b: &mut Bencher) {
+fn failover_series(b: &mut Bencher) {
     use engine::fleet::{Fleet, Ring};
     use engine::fpopb;
     use engine::request::Priority;
 
-    eprintln!("\n== engine: fleet (consistent-hash router + N shards) ==");
-
-    // Eight distinct warm checks so the digests spread over the ring — a
-    // single hot digest would pin every frame to one shard and measure
-    // nothing but that shard.
-    let reqs: Vec<Request> = (0..8)
-        .map(|i| Request::CheckSource {
-            source: format!("(* fleet item {i} *)\n{PEANO}"),
-        })
-        .collect();
-    let warm_shards = |fleet: &Fleet| {
-        for shard in &fleet.shards {
-            for r in &reqs {
-                shard.engine.run(r.clone()).expect("fleet warmup");
-            }
-        }
+    eprintln!("\n== engine: fleet failover recovery ==");
+    let req = Request::CheckSource {
+        source: format!("(* fleet item 0 *)\n{PEANO}"),
     };
-
-    for n in [1usize, 2, 4] {
-        let fleet = Fleet::start_default(n).expect("fleet start");
-        warm_shards(&fleet);
-        let mut c = fpopb::Client::connect(fleet.addr).expect("connect router");
-        b.bench_time(
-            &format!("engine/fleet_warm_{n}shard"),
-            WIRE_BATCH as f64,
-            || {
-                let (mut sent, mut done) = (0usize, 0usize);
-                let t = Instant::now();
-                while done < WIRE_BATCH {
-                    while sent < WIRE_BATCH && sent - done < 16 {
-                        c.send_submit(&reqs[sent % reqs.len()], Priority::Normal)
-                            .expect("send");
-                        sent += 1;
-                    }
-                    let frame = c.recv().expect("recv");
-                    assert!(
-                        !matches!(frame.ty, fpopb::FrameType::Err),
-                        "fleet submit failed"
-                    );
-                    done += 1;
-                }
-                t.elapsed()
-            },
-        );
-        fleet.stop().expect("fleet stop");
-    }
-    for n in [2usize, 4] {
-        b.mark_speedup_vs_single(
-            &format!("engine/fleet_warm_{n}shard"),
-            "engine/fleet_warm_1shard",
-        );
-    }
-
-    // Failover recovery: wall time from losing a digest's home shard to
-    // the router answering that digest with a real verdict again
-    // (detection + re-route; the surviving shard is already warm).
     b.bench_time("engine/fleet_failover_recovery", 1.0, || {
         let mut fleet = Fleet::start_default(2).expect("fleet start");
-        let req = &reqs[0];
         // Only `req`'s digest is measured; warming just it keeps the
         // untimed per-iteration setup (a fresh fleet every time) cheap.
         for shard in &fleet.shards {
@@ -318,14 +154,14 @@ fn fleet_series(b: &mut Bencher) {
         let victim = Ring::new(2).route(key, &[true, true]).expect("route");
         let mut c = fpopb::Client::connect(fleet.addr).expect("connect router");
         // Pin the digest's home shard on this connection, then lose it.
-        match c.roundtrip(req, Priority::Normal).expect("pre-kill") {
+        match c.roundtrip(&req, Priority::Normal).expect("pre-kill") {
             fpopb::Reply::Ok(_) => {}
             other => panic!("pre-kill answered {other:?}"),
         }
         fleet.stop_shard(victim).expect("stop shard");
         let t = Instant::now();
         loop {
-            match c.roundtrip(req, Priority::Normal).expect("roundtrip") {
+            match c.roundtrip(&req, Priority::Normal).expect("roundtrip") {
                 fpopb::Reply::Ok(_) => break,
                 fpopb::Reply::Err(fpopb::ErrCode::Unavailable, _) => continue,
                 other => panic!("failover answered {other:?}"),

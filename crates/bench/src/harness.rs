@@ -36,15 +36,6 @@ pub struct BenchResult {
     /// (>1 ⇒ the bytecode path is faster). `None` for workloads without
     /// an interpreter counterpart.
     pub speedup_vs_interp: Option<f64>,
-    /// For wire-protocol workloads: median time of the turn-based text
-    /// protocol baseline divided by this result's median (>1 ⇒ the
-    /// pipelined binary path is faster). `None` for workloads without a
-    /// text-protocol counterpart.
-    pub speedup_vs_text: Option<f64>,
-    /// For fleet workloads: median time of the 1-shard fleet baseline
-    /// divided by this result's median (>1 ⇒ the N-shard fleet is
-    /// faster). `None` for workloads without a single-shard counterpart.
-    pub speedup_vs_single: Option<f64>,
     /// For incremental-recheck workloads: median time of the warm
     /// full-rebuild baseline divided by this result's median (>1 ⇒ the
     /// fingerprint memo beats re-elaborating the whole lattice). `None`
@@ -165,47 +156,6 @@ impl Bencher {
         }
     }
 
-    /// Stamps `name`'s `speedup_vs_text` as `baseline`'s median over its
-    /// own (the wire-protocol analogue of [`Self::mark_speedup`];
-    /// bench-smoke CI reads the field to catch pipelining regressions).
-    pub fn mark_speedup_vs_text(&mut self, name: &str, baseline: &str) {
-        let base_ns = self
-            .results
-            .iter()
-            .find(|r| r.name == baseline)
-            .unwrap_or_else(|| panic!("text baseline {baseline:?} has not run"))
-            .median_ns;
-        let r = self
-            .results
-            .iter_mut()
-            .find(|r| r.name == name)
-            .unwrap_or_else(|| panic!("speedup target {name:?} has not run"));
-        if r.median_ns > 0.0 {
-            r.speedup_vs_text = Some(base_ns / r.median_ns);
-        }
-    }
-
-    /// Stamps `name`'s `speedup_vs_single` as `baseline`'s median over
-    /// its own (the fleet analogue of [`Self::mark_speedup`]; the
-    /// baseline is the 1-shard fleet so router overhead cancels out of
-    /// the ratio).
-    pub fn mark_speedup_vs_single(&mut self, name: &str, baseline: &str) {
-        let base_ns = self
-            .results
-            .iter()
-            .find(|r| r.name == baseline)
-            .unwrap_or_else(|| panic!("single-shard baseline {baseline:?} has not run"))
-            .median_ns;
-        let r = self
-            .results
-            .iter_mut()
-            .find(|r| r.name == name)
-            .unwrap_or_else(|| panic!("speedup target {name:?} has not run"));
-        if r.median_ns > 0.0 {
-            r.speedup_vs_single = Some(base_ns / r.median_ns);
-        }
-    }
-
     /// Stamps `name`'s `speedup_vs_full_rebuild` as `baseline`'s median
     /// over its own (the incremental-recheck analogue of
     /// [`Self::mark_speedup`]; the baseline is the warm full rebuild, so
@@ -236,8 +186,6 @@ impl Bencher {
             items_per_iter: items,
             speedup_vs_seq: None,
             speedup_vs_interp: None,
-            speedup_vs_text: None,
-            speedup_vs_single: None,
             speedup_vs_full_rebuild: None,
         };
         eprintln!(
@@ -268,12 +216,6 @@ impl Bencher {
             };
             if let Some(x) = r.speedup_vs_interp {
                 speedup.push_str(&format!(", \"speedup_vs_interp\": {x:.3}"));
-            }
-            if let Some(x) = r.speedup_vs_text {
-                speedup.push_str(&format!(", \"speedup_vs_text\": {x:.3}"));
-            }
-            if let Some(x) = r.speedup_vs_single {
-                speedup.push_str(&format!(", \"speedup_vs_single\": {x:.3}"));
             }
             if let Some(x) = r.speedup_vs_full_rebuild {
                 speedup.push_str(&format!(", \"speedup_vs_full_rebuild\": {x:.3}"));

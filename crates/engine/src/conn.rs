@@ -498,21 +498,15 @@ fn process_binary(
             }
             Err(e) => {
                 ConnStats::bump(&stats.decode_errors, &global.decode_errors);
+                conn.push_err_frame(e.corr(), e.code(), &e.reason());
                 match e.recoverable() {
+                    // Frame boundary held: skip it, keep serving this
+                    // connection.
                     Some(consumed) => {
-                        // Frame boundary held: report, skip, keep serving
-                        // this connection.
-                        let corr = match &e {
-                            fpopb::DecodeError::ChecksumMismatch { corr, .. } => *corr,
-                            fpopb::DecodeError::BadType { corr, .. } => *corr,
-                            _ => 0,
-                        };
-                        conn.push_err_frame(corr, e.code(), &e.reason());
                         conn.rbuf.drain(..consumed);
                     }
+                    // Stream desync: reported once; close.
                     None => {
-                        // Stream desync: report once and close.
-                        conn.push_err_frame(0, e.code(), &e.reason());
                         conn.closing = true;
                         conn.rbuf.clear();
                         return;

@@ -19,9 +19,10 @@
 //! +----------------+---------------------------------------------------+
 //! ```
 //!
-//! Entry bodies reuse the [`crate::snapshot`] grammar byte-for-byte — one
-//! entry codec, two containers — so a diff can never drift from what a
-//! full snapshot would have said.
+//! A diff *is* the snapshot container (`codec::encode_entries`) with its
+//! own magic and the 8-byte base digest as the container's pin: one entry
+//! grammar, one container, one trailer — so a diff can never drift from
+//! what a full snapshot would have said.
 //!
 //! ## The bijection invariant
 //!
@@ -42,21 +43,20 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use fpop::session::sort_export_entries;
-use fpop::stable::{fnv64_bytes, Fnv64};
+use fpop::stable::fnv64_bytes;
 use fpop::ExportEntry;
 
-use crate::fpopb::w_varint;
-use crate::snapshot::{self, Cursor, SnapshotError};
+use crate::codec::{self, Reader};
+use crate::snapshot::{self, SnapshotError};
 
 /// Leading magic bytes of every diff file.
 pub const MAGIC: [u8; 8] = *b"FPOPDIFF";
-/// Current diff format version. Tracks the snapshot entry grammar: bump
-/// both together.
-pub const VERSION: u32 = 1;
+/// Current diff format version. A diff carries snapshot entries, so it is
+/// the snapshot format's version.
+pub const VERSION: u32 = snapshot::VERSION;
 
 /// Why a diff failed to decode or apply. Every variant means "fall back
 /// to full restore" — none should ever panic or half-apply.
@@ -118,10 +118,6 @@ impl From<SnapshotError> for DiffError {
     }
 }
 
-fn corrupt(why: impl Into<String>) -> DiffError {
-    DiffError::Corrupt(why.into())
-}
-
 /// The content digest of a complete snapshot byte image — the address a
 /// full segment files under in the shared store, and the base pin inside
 /// every diff. Plain FNV-1a over all bytes including the trailer.
@@ -132,71 +128,21 @@ pub fn snapshot_digest(snapshot_bytes: &[u8]) -> u64 {
 /// Encodes `added` entries as a version-1 diff against the base snapshot
 /// whose [`snapshot_digest`] is `base_digest`.
 pub fn encode_diff(base_digest: u64, added: &[ExportEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + added.len() * 128);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&base_digest.to_le_bytes());
-    w_varint(&mut out, added.len() as u64);
-    let mut body = Vec::new();
-    for e in added {
-        body.clear();
-        snapshot::w_entry_body(&mut body, e);
-        out.push(match e {
-            ExportEntry::Theorem { .. } => 0,
-            ExportEntry::Case { .. } => 1,
-        });
-        w_varint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-    }
-    let mut h = Fnv64::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
+    codec::encode_entries(
+        &MAGIC,
+        VERSION,
+        &base_digest.to_le_bytes(),
+        added,
+        snapshot::w_entry,
+    )
 }
 
 /// Decodes a diff byte image into `(base_digest, added_entries)`,
 /// verifying magic, version, framing, and the trailing checksum. Total:
 /// never panics on any input.
 pub fn decode_diff(bytes: &[u8]) -> Result<(u64, Vec<ExportEntry>), DiffError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 + 8 {
-        return Err(corrupt("file shorter than header + checksum"));
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(DiffError::BadMagic);
-    }
-    // Checksum before structure, exactly like the snapshot decoder: a
-    // flipped bit anywhere (length fields included) is caught here.
-    let (content, tail) = bytes.split_at(bytes.len() - 8);
-    let mut h = Fnv64::new();
-    h.write(content);
-    let expected = u64::from_le_bytes(tail.try_into().expect("split_at gave 8 bytes"));
-    if h.finish() != expected {
-        return Err(DiffError::ChecksumMismatch);
-    }
-    let mut c = Cursor::new(content);
-    c.pos = MAGIC.len();
-    let version = u32::from_le_bytes(c.take(4)?.try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(DiffError::BadVersion(version));
-    }
-    let base_digest = u64::from_le_bytes(c.take(8)?.try_into().expect("8 bytes"));
-    let count = c.len()?;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
-    for i in 0..count {
-        let kind = c.u8()?;
-        let body_len = c.len()?;
-        let body_end = c.pos + body_len;
-        let entry = c.entry(kind)?;
-        if c.pos != body_end {
-            return Err(corrupt(format!(
-                "entry {i}: frame declares {body_len} bytes, decoder consumed a different count"
-            )));
-        }
-        entries.push(entry);
-    }
-    if c.pos != content.len() {
-        return Err(corrupt("trailing garbage after last entry"));
-    }
+    let (pin, entries) = codec::decode_entries(&MAGIC, VERSION, 8, bytes, Reader::entry)?;
+    let base_digest = u64::from_le_bytes(pin.try_into().expect("8-byte pin"));
     Ok((base_digest, entries))
 }
 
@@ -234,22 +180,11 @@ pub fn apply_diff(base_snapshot: &[u8], diff: &[u8]) -> Result<Vec<u8>, DiffErro
     Ok(snapshot::encode_snapshot(&entries))
 }
 
-/// Writes a diff atomically (tmp + fsync + rename), mirroring
+/// Writes a diff atomically (`codec::write_atomic`), like
 /// [`crate::snapshot::write_snapshot`].
 pub fn write_diff(path: &Path, base_digest: u64, added: &[ExportEntry]) -> std::io::Result<usize> {
     let bytes = encode_diff(base_digest, added);
-    let tmp = path.with_extension("diff.tmp");
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
+    codec::write_atomic(path, &bytes)?;
     Ok(bytes.len())
 }
 
@@ -334,7 +269,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fpop-diff-test-{}", std::process::id()));
         let path = dir.join("catchup.diff");
         write_diff(&path, 42, &[entry(3)]).unwrap();
-        assert!(!path.with_extension("diff.tmp").exists());
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "tmp renamed away"
+        );
         let (base, entries) = load_diff(&path).unwrap();
         assert_eq!(base, 42);
         assert_eq!(entries, vec![entry(3)]);

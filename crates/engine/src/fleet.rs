@@ -45,7 +45,7 @@
 //! the router alone — shards are managed by their own lifecycle.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,8 +54,9 @@ use std::time::Duration;
 
 use fpop::stable::Fnv64;
 
+use crate::codec::FrameReader;
 use crate::engine::{Engine, EngineConfig};
-use crate::fpopb::{self, decode_frame, encode_frame, DecodeStep, ErrCode, Frame, FrameType};
+use crate::fpopb::{self, encode_frame, ErrCode, Frame, FrameType};
 use crate::proto;
 use crate::request::Request;
 
@@ -515,13 +516,10 @@ fn relay_replies(
     inflight: &Arc<Mutex<HashSet<u64>>>,
     dead: &Arc<AtomicBool>,
 ) {
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut filled = 0usize;
+    let mut frames = FrameReader::default();
     let died = loop {
-        match decode_frame(&buf[..filled]) {
-            Ok(DecodeStep::Ready { frame, consumed }) => {
-                buf.copy_within(consumed..filled, 0);
-                filled -= consumed;
+        match frames.next(&mut stream) {
+            Ok(Ok(frame)) => {
                 inflight
                     .lock()
                     .expect("inflight poisoned")
@@ -531,25 +529,14 @@ fn relay_replies(
                     break false;
                 }
             }
-            Ok(DecodeStep::Incomplete) => {
-                if buf.len() < filled + 64 * 1024 {
-                    buf.resize(filled + 64 * 1024, 0);
-                }
-                match stream.read(&mut buf[filled..]) {
-                    Ok(0) => break true, // EOF — mid-frame or clean, same verdict
-                    Ok(n) => filled += n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break false;
-                        }
-                    }
-                    Err(_) => break true,
+            // A shard speaking garbage is as gone as a dead one.
+            Ok(Err(_)) => break true,
+            Err(e) if is_timeout(&e) => {
+                if shared.stop.load(Ordering::SeqCst) {
+                    break false;
                 }
             }
-            // A shard speaking garbage is as gone as a dead one.
+            // EOF — mid-frame or clean, same verdict.
             Err(_) => break true,
         }
     };
@@ -581,56 +568,41 @@ fn relay_replies(
 fn handle_binary_client(stream: TcpStream, shared: &Arc<RouterShared>) -> std::io::Result<()> {
     let writer: ClientWriter = Arc::new(Mutex::new(stream.try_clone()?));
     let mut upstreams: HashMap<usize, BinUpstream> = HashMap::new();
-    let mut rbuf = vec![0u8; 64 * 1024];
-    let mut filled = 0usize;
+    let mut frames = FrameReader::default();
     let mut reader = stream;
     loop {
-        match decode_frame(&rbuf[..filled]) {
-            Ok(DecodeStep::Ready { frame, consumed }) => {
-                rbuf.copy_within(consumed..filled, 0);
-                filled -= consumed;
+        match frames.next(&mut reader) {
+            Ok(Ok(frame)) => {
                 if !dispatch_binary(shared, &writer, &mut upstreams, frame)? {
                     return Ok(());
                 }
             }
-            Ok(DecodeStep::Incomplete) => {
-                if rbuf.len() < filled + 64 * 1024 {
-                    rbuf.resize(filled + 64 * 1024, 0);
-                }
-                match reader.read(&mut rbuf[filled..]) {
-                    Ok(0) => return Ok(()),
-                    Ok(n) => filled += n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        if shared.stop.load(Ordering::SeqCst) {
-                            return Ok(());
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(e) => match e.recoverable() {
-                Some(skip) => {
-                    // Same contract as a single fpopd: report, skip the
-                    // frame, keep the connection.
-                    let corr = match &e {
-                        fpopb::DecodeError::BadType { corr, .. }
-                        | fpopb::DecodeError::ChecksumMismatch { corr, .. } => *corr,
-                        _ => 0,
-                    };
-                    send_client_err(&writer, corr, e.code(), &e.reason());
-                    rbuf.copy_within(skip..filled, 0);
-                    filled -= skip;
-                }
-                None => {
-                    send_client_err(&writer, 0, e.code(), &e.reason());
+            // Same contract as a single fpopd: report; a recoverable error
+            // has skipped its frame and the connection stays, a fatal one
+            // closes it.
+            Ok(Err(e)) => {
+                send_client_err(&writer, e.corr(), e.code(), &e.reason());
+                if e.recoverable().is_none() {
                     return Ok(());
                 }
-            },
+            }
+            Err(e) if is_timeout(&e) => {
+                if shared.stop.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(()),
+            Err(e) => return Err(e),
         }
     }
+}
+
+/// A read timeout: the blocking loops poll their stop flag on it.
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
 }
 
 /// Handles one decoded client frame. Returns `false` to close the

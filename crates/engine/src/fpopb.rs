@@ -1,8 +1,8 @@
 //! `fpopb/1` — the pipelined binary wire protocol of `fpopd`.
 //!
 //! The normative specification lives in `docs/PROTOCOL.md`; this module
-//! is the reference codec. The discipline mirrors the `FPOPSNAP`
-//! snapshot format ([`crate::snapshot`]): varint (LEB128) framing,
+//! is the reference codec. Its primitives are the ones the `FPOPSNAP`
+//! snapshot format uses too (`crate::codec`): varint (LEB128) framing,
 //! length-prefixed UTF-8 strings, and a trailing FNV-1a 64 checksum per
 //! frame guarding against *accidental* corruption only (it is not a
 //! MAC — frames are untrusted input and the decoder is total anyway).
@@ -34,12 +34,13 @@
 //! and continue, e.g. a checksum mismatch) from *fatal* ones (stream
 //! desync — the connection must close).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
 use families_stlc::Feature;
-use fpop::stable::Fnv64;
 
+use crate::codec::{self, FrameReader, ReadError, Reader};
+pub use crate::codec::{w_str, w_varint};
 use crate::request::{EngineError, Priority, Request};
 
 /// First byte of every binary frame; connections are sniffed by it
@@ -183,66 +184,30 @@ impl ErrCode {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoders/decoders
+// Body field readers
 // ---------------------------------------------------------------------------
 
-/// Appends a LEB128 varint.
-pub fn w_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+/// The wire reason for a body varint that is cut short or malformed.
+fn varint_reason(e: ReadError) -> String {
+    match e {
+        ReadError::Short { .. } => "truncated varint",
+        _ => "over-long varint",
     }
+    .to_string()
 }
 
-/// Appends a length-prefixed UTF-8 string.
-pub fn w_str(out: &mut Vec<u8>, s: &str) {
-    w_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Reads a varint from `buf[at..]`: `Ok(Some((value, next_offset)))`,
-/// `Ok(None)` if more bytes are needed, `Err` on an over-long encoding.
-fn r_varint(buf: &[u8], at: usize) -> Result<Option<(u64, usize)>, ()> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &b) in buf[at.min(buf.len())..].iter().enumerate() {
-        if i >= MAX_VARINT {
-            return Err(());
+fn r_str(r: &mut Reader) -> Result<String, String> {
+    let s = r.str().map_err(|e| match e {
+        ReadError::Len { len, at } => {
+            match usize::try_from(len).ok().and_then(|n| at.checked_add(n)) {
+                None => "string length overflow".to_string(),
+                Some(_) => "truncated string".to_string(),
+            }
         }
-        v |= u64::from(b & 0x7f).checked_shl(shift).map_or(0, |x| x);
-        if shift >= 63 && (b & 0x7f) > 1 {
-            return Err(()); // overflows u64
-        }
-        if b & 0x80 == 0 {
-            return Ok(Some((v, at + i + 1)));
-        }
-        shift += 7;
-    }
-    Ok(None)
-}
-
-fn r_varint_body(body: &[u8], at: usize) -> Result<(u64, usize), String> {
-    match r_varint(body, at) {
-        Ok(Some(x)) => Ok(x),
-        Ok(None) => Err("truncated varint".into()),
-        Err(()) => Err("over-long varint".into()),
-    }
-}
-
-fn r_str(body: &[u8], at: usize) -> Result<(String, usize), String> {
-    let (len, at) = r_varint_body(body, at)?;
-    let len = usize::try_from(len).map_err(|_| "string length overflow".to_string())?;
-    let end = at.checked_add(len).ok_or("string length overflow")?;
-    if end > body.len() {
-        return Err("truncated string".into());
-    }
-    let s = std::str::from_utf8(&body[at..end]).map_err(|_| "invalid UTF-8".to_string())?;
-    Ok((s.to_string(), end))
+        ReadError::Utf8 => "invalid UTF-8".to_string(),
+        e => varint_reason(e),
+    })?;
+    Ok(s.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -269,9 +234,7 @@ pub fn encode_frame(ty: FrameType, corr: u64, body: &[u8]) -> Vec<u8> {
     w_varint(&mut out, corr);
     w_varint(&mut out, body.len() as u64);
     out.extend_from_slice(body);
-    let mut h = Fnv64::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    codec::seal(&mut out);
     out
 }
 
@@ -332,6 +295,15 @@ impl DecodeError {
         }
     }
 
+    /// The correlation id to echo on the error reply: the header's for a
+    /// recoverable error, 0 (connection-level) for a fatal one.
+    pub fn corr(&self) -> u64 {
+        match self {
+            DecodeError::BadType { corr, .. } | DecodeError::ChecksumMismatch { corr, .. } => *corr,
+            _ => 0,
+        }
+    }
+
     /// The wire error code reported for this decode failure.
     pub fn code(&self) -> ErrCode {
         match self {
@@ -364,50 +336,32 @@ impl DecodeError {
 /// Tries to decode one frame from the front of `buf`. Total: never
 /// panics on arbitrary input.
 pub fn decode_frame(buf: &[u8]) -> Result<DecodeStep, DecodeError> {
-    if buf.is_empty() {
-        return Ok(DecodeStep::Incomplete);
-    }
-    if buf[0] != MARKER {
-        return Err(DecodeError::BadMarker(buf[0]));
-    }
-    if buf.len() < 2 {
-        return Ok(DecodeStep::Incomplete);
-    }
-    if buf[1] != VERSION {
-        return Err(DecodeError::BadVersion(buf[1]));
-    }
-    if buf.len() < HEAD {
-        return Ok(DecodeStep::Incomplete);
-    }
-    let ty_byte = buf[2];
-    let (corr, at) = match r_varint(buf, HEAD) {
-        Ok(Some(x)) => x,
-        Ok(None) => return Ok(DecodeStep::Incomplete),
-        Err(()) => return Err(DecodeError::BadVarint),
+    let ty_byte = match *buf {
+        [m, ..] if m != MARKER => return Err(DecodeError::BadMarker(m)),
+        [_, v, ..] if v != VERSION => return Err(DecodeError::BadVersion(v)),
+        [_, _, ty, ..] => ty,
+        _ => return Ok(DecodeStep::Incomplete),
     };
-    let (body_len, at) = match r_varint(buf, at) {
-        Ok(Some(x)) => x,
-        Ok(None) => return Ok(DecodeStep::Incomplete),
-        Err(()) => return Err(DecodeError::BadVarint),
+    let mut r = Reader::at(buf, HEAD);
+    let (corr, body_len) = match r.varint().and_then(|corr| Ok((corr, r.varint()?))) {
+        Ok(header) => header,
+        Err(ReadError::Short { .. }) => return Ok(DecodeStep::Incomplete),
+        Err(_) => return Err(DecodeError::BadVarint),
     };
     if body_len > MAX_BODY as u64 {
         return Err(DecodeError::Oversized(body_len));
     }
-    let body_len = body_len as usize;
-    let body_end = at + body_len;
-    let frame_end = body_end + 8;
-    if buf.len() < frame_end {
+    let body_at = r.pos;
+    let frame_end = body_at + body_len as usize + 8;
+    let Some(sealed) = buf.get(..frame_end) else {
         return Ok(DecodeStep::Incomplete);
-    }
-    let mut h = Fnv64::new();
-    h.write(&buf[..body_end]);
-    let want = u64::from_le_bytes(buf[body_end..frame_end].try_into().expect("8 bytes"));
-    if h.finish() != want {
+    };
+    let Some(content) = codec::unseal(sealed) else {
         return Err(DecodeError::ChecksumMismatch {
             corr,
             consumed: frame_end,
         });
-    }
+    };
     let ty = FrameType::from_u8(ty_byte).ok_or(DecodeError::BadType {
         ty: ty_byte,
         corr,
@@ -417,7 +371,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<DecodeStep, DecodeError> {
         frame: Frame {
             ty,
             corr,
-            body: buf[at..body_end].to_vec(),
+            body: content[body_at..].to_vec(),
         },
         consumed: frame_end,
     })
@@ -478,72 +432,56 @@ pub fn encode_request(out: &mut Vec<u8>, req: &Request) {
 /// Decodes a [`Request`] from `body[at..]`; returns the request and the
 /// next offset. Total: every malformed body is an `Err`, never a panic.
 pub fn decode_request(body: &[u8], at: usize) -> Result<(Request, usize), String> {
-    let tag = *body.get(at).ok_or("missing request tag")?;
-    let at = at + 1;
-    match tag {
-        0 => {
-            let (source, at) = r_str(body, at)?;
-            Ok((Request::CheckSource { source }, at))
-        }
-        1 => {
-            let (features, at) = r_features(body, at)?;
-            Ok((Request::BuildLattice { features }, at))
-        }
-        2 => {
-            let (family, at) = r_str(body, at)?;
-            let (field, at) = r_str(body, at)?;
-            Ok((Request::QueryTheorem { family, field }, at))
-        }
-        3 => {
-            let (family, at) = r_str(body, at)?;
-            let (term, at) = r_str(body, at)?;
-            Ok((Request::Eval { family, term }, at))
-        }
-        4 => Ok((Request::Stats, at)),
-        5 => Ok((Request::Metrics, at)),
-        6 => {
-            let (digest, at) = r_digest(body, at)?;
-            Ok((Request::RunTemplate { digest }, at))
-        }
-        7 => {
-            let (family, at) = r_str(body, at)?;
-            let (field, at) = r_str(body, at)?;
-            let (features, at) = r_features(body, at)?;
-            Ok((
-                Request::Redefine {
-                    family,
-                    field,
-                    features,
-                },
-                at,
-            ))
-        }
-        other => Err(format!("unknown request tag {other}")),
-    }
+    let mut r = Reader::at(body, at);
+    let tag = r.u8().map_err(|_| "missing request tag")?;
+    let req = match tag {
+        0 => Request::CheckSource {
+            source: r_str(&mut r)?,
+        },
+        1 => Request::BuildLattice {
+            features: r_features(&mut r)?,
+        },
+        2 => Request::QueryTheorem {
+            family: r_str(&mut r)?,
+            field: r_str(&mut r)?,
+        },
+        3 => Request::Eval {
+            family: r_str(&mut r)?,
+            term: r_str(&mut r)?,
+        },
+        4 => Request::Stats,
+        5 => Request::Metrics,
+        6 => Request::RunTemplate {
+            digest: r.u64_le().map_err(|_| "truncated digest")?,
+        },
+        7 => Request::Redefine {
+            family: r_str(&mut r)?,
+            field: r_str(&mut r)?,
+            features: r_features(&mut r)?,
+        },
+        other => return Err(format!("unknown request tag {other}")),
+    };
+    Ok((req, r.pos))
 }
 
-/// Reads a varint-counted feature list (canonical-index bytes) from
-/// `body[at..]`, with the same plausibility cap used by every request
-/// that carries a subset selection.
-fn r_features(body: &[u8], at: usize) -> Result<(Vec<Feature>, usize), String> {
-    let (n, at) = r_varint_body(body, at)?;
+/// Reads a varint-counted feature list (canonical-index bytes), with the
+/// same plausibility cap used by every request that carries a subset
+/// selection.
+fn r_features(r: &mut Reader) -> Result<Vec<Feature>, String> {
+    let n = r.varint().map_err(varint_reason)?;
     if n > Feature::all_extended().len() as u64 * 4 {
         return Err(format!("implausible feature count {n}"));
     }
-    let n = n as usize;
-    let end = at.checked_add(n).ok_or("feature count overflow")?;
-    if end > body.len() {
-        return Err("truncated feature list".into());
-    }
-    let mut features = Vec::with_capacity(n);
-    for &b in &body[at..end] {
-        let f = Feature::all_extended()
-            .into_iter()
-            .find(|f| f.canonical_index() == b as usize)
-            .ok_or_else(|| format!("unknown feature index {b}"))?;
-        features.push(f);
-    }
-    Ok((features, end))
+    let indices = r.take(n as usize).map_err(|_| "truncated feature list")?;
+    indices
+        .iter()
+        .map(|&b| {
+            Feature::all_extended()
+                .into_iter()
+                .find(|f| f.canonical_index() == b as usize)
+                .ok_or_else(|| format!("unknown feature index {b}"))
+        })
+        .collect()
 }
 
 /// Decodes a priority byte (0 = low, 1 = normal, 2 = high).
@@ -567,12 +505,9 @@ pub fn encode_priority(p: Priority) -> u8 {
 
 /// Reads an 8-byte LE digest from `body[at..]`.
 pub fn r_digest(body: &[u8], at: usize) -> Result<(u64, usize), String> {
-    let end = at.checked_add(8).ok_or("digest offset overflow")?;
-    if end > body.len() {
-        return Err("truncated digest".into());
-    }
-    let d = u64::from_le_bytes(body[at..end].try_into().expect("8 bytes"));
-    Ok((d, end))
+    let mut r = Reader::at(body, at);
+    let d = r.u64_le().map_err(|_| "truncated digest")?;
+    Ok((d, r.pos))
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +533,7 @@ pub enum Reply {
 pub fn decode_reply(frame: &Frame) -> Result<Reply, String> {
     match frame.ty {
         FrameType::HelloAck => {
-            let (v, _) = r_varint_body(&frame.body, 0)?;
+            let v = Reader::new(&frame.body).varint().map_err(varint_reason)?;
             Ok(Reply::HelloAck(v))
         }
         FrameType::Pong => Ok(Reply::Pong),
@@ -629,8 +564,7 @@ pub fn decode_reply(frame: &Frame) -> Result<Reply, String> {
 /// `docs/PROTOCOL.md` spec.
 pub struct Client {
     stream: TcpStream,
-    rbuf: Vec<u8>,
-    filled: usize,
+    frames: FrameReader,
     next_corr: u64,
 }
 
@@ -640,8 +574,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         Client {
             stream,
-            rbuf: Vec::new(),
-            filled: 0,
+            frames: FrameReader::default(),
             next_corr: 1,
         }
     }
@@ -747,34 +680,9 @@ impl Client {
     /// `UnexpectedEof` on server hangup, `InvalidData` on a frame the
     /// codec rejects, otherwise the socket error.
     pub fn recv(&mut self) -> std::io::Result<Frame> {
-        loop {
-            match decode_frame(&self.rbuf[..self.filled]) {
-                Ok(DecodeStep::Ready { frame, consumed }) => {
-                    self.rbuf.copy_within(consumed..self.filled, 0);
-                    self.filled -= consumed;
-                    return Ok(frame);
-                }
-                Ok(DecodeStep::Incomplete) => {
-                    if self.rbuf.len() < self.filled + 64 * 1024 {
-                        self.rbuf.resize(self.filled + 64 * 1024, 0);
-                    }
-                    let n = self.stream.read(&mut self.rbuf[self.filled..])?;
-                    if n == 0 {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        ));
-                    }
-                    self.filled += n;
-                }
-                Err(e) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        e.reason(),
-                    ));
-                }
-            }
-        }
+        self.frames
+            .next(&mut &self.stream)?
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.reason()))
     }
 
     /// Turn-based convenience: sends a submit and blocks for *its* reply
@@ -911,9 +819,7 @@ mod tests {
         let mut out = vec![MARKER, VERSION, 0x55];
         w_varint(&mut out, 3);
         w_varint(&mut out, 0);
-        let mut h = Fnv64::new();
-        h.write(&out);
-        out.extend_from_slice(&h.finish().to_le_bytes());
+        codec::seal(&mut out);
         match decode_frame(&out) {
             Err(
                 e @ DecodeError::BadType {
@@ -966,25 +872,6 @@ mod tests {
             let (back, at) = decode_request(&body, 0).expect("decodes");
             assert_eq!(back, req);
             assert_eq!(at, body.len(), "no trailing bytes");
-        }
-    }
-
-    #[test]
-    fn malformed_request_bodies_error_not_panic() {
-        for body in [
-            &[][..],
-            &[99][..],
-            &[0][..],             // CheckSource with no string
-            &[0, 0x05, b'a'][..], // truncated string
-            &[1, 0xff, 0xff][..], // huge feature count
-            &[1, 2, 0x63][..],    // unknown feature index
-            &[7][..],             // Redefine with no family
-            &[7, 1, b'F'][..],    // Redefine with no field
-            &[3, 0][..],          // Eval with one string missing
-            &[6, 1, 2, 3][..],    // truncated digest
-            &[0, 1, 0xff][..],    // invalid UTF-8
-        ] {
-            assert!(decode_request(body, 0).is_err(), "body {body:?}");
         }
     }
 

@@ -19,6 +19,10 @@
 //! * [`engine`] — the [`Engine`] itself: worker pool, in-flight dedup,
 //!   per-request deadlines and cancellation, graceful drain-on-shutdown,
 //!   and warm-start/checkpoint wiring to the snapshot codec.
+//! * `codec` *(crate-private)* — the one byte codec under `FPOPSNAP`,
+//!   `FPOPDIFF` and `fpopb/1`: the varint writer and bounded reader, the
+//!   FNV-64 trailer seal, the sealed entry container a snapshot and a
+//!   diff share, the atomic file write, and the blocking frame reader.
 //! * [`snapshot`] — the persistent proof-cache snapshot: a versioned,
 //!   dependency-free binary codec (magic, format version, varint-framed
 //!   entries, trailing integrity hash) with a *total* decoder — corrupt
@@ -76,6 +80,7 @@
 
 #![warn(missing_docs)]
 
+mod codec;
 #[cfg(unix)]
 pub mod conn;
 pub mod diff;

@@ -303,9 +303,9 @@ pub fn serve(
 }
 
 /// The legacy blocking text-protocol server: thread per connection, one
-/// request per turn, no binary protocol. Kept as the non-unix fallback
-/// and as the differential baseline the event-loop server is tested
-/// against.
+/// request per turn, no binary protocol. It is the non-unix fallback of
+/// [`serve`]; no test drives it on unix, where the event-loop server
+/// serves both protocols.
 ///
 /// # Errors
 ///

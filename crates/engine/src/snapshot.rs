@@ -40,17 +40,15 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
-use fpop::stable::Fnv64;
 use fpop::ExportEntry;
 use objlang::ident::Symbol;
 use objlang::proof::Sequent;
 use objlang::syntax::{Prop, Sort, Term};
 use objlang::tactic::Tactic;
 
-use crate::fpopb::{w_str, w_varint};
+use crate::codec::{self, w_str, w_varint, Reader};
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"FPOPSNAP";
@@ -411,7 +409,9 @@ fn w_sequent(out: &mut Vec<u8>, s: &Sequent) {
     w_prop(out, &s.goal);
 }
 
-pub(crate) fn w_entry_body(out: &mut Vec<u8>, e: &ExportEntry) {
+/// Writes one entry's body and returns its kind byte: the per-entry half
+/// of the container `FPOPSNAP` and `FPOPDIFF` share.
+pub(crate) fn w_entry(out: &mut Vec<u8>, e: &ExportEntry) -> u8 {
     match e {
         ExportEntry::Theorem {
             statement,
@@ -436,6 +436,7 @@ pub(crate) fn w_entry_body(out: &mut Vec<u8>, e: &ExportEntry) {
                 }
             }
             w_varint(out, *okey);
+            0
         }
         ExportEntry::Case {
             sequent,
@@ -445,6 +446,7 @@ pub(crate) fn w_entry_body(out: &mut Vec<u8>, e: &ExportEntry) {
             w_sequent(out, sequent);
             w_script(out, script);
             w_varint(out, *okey);
+            1
         }
     }
 }
@@ -452,94 +454,22 @@ pub(crate) fn w_entry_body(out: &mut Vec<u8>, e: &ExportEntry) {
 /// Encodes entries into the version-1 snapshot byte format (including the
 /// trailing integrity checksum).
 pub fn encode_snapshot(entries: &[ExportEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + entries.len() * 128);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    w_varint(&mut out, entries.len() as u64);
-    let mut body = Vec::new();
-    for e in entries {
-        body.clear();
-        w_entry_body(&mut body, e);
-        out.push(match e {
-            ExportEntry::Theorem { .. } => 0,
-            ExportEntry::Case { .. } => 1,
-        });
-        w_varint(&mut out, body.len() as u64);
-        out.extend_from_slice(&body);
-    }
-    let mut h = Fnv64::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
+    codec::encode_entries(&MAGIC, VERSION, &[], entries, w_entry)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-// `pub(crate)` so the FPOPDIFF codec ([`crate::diff`]) decodes entry
-// bodies with exactly this decoder: one entry grammar, two containers.
-pub(crate) struct Cursor<'a> {
-    b: &'a [u8],
-    pub(crate) pos: usize,
-}
-
 type DResult<T> = Result<T, SnapshotError>;
 
-fn corrupt(why: impl Into<String>) -> SnapshotError {
+pub(crate) fn corrupt(why: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(why.into())
 }
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Cursor<'a> {
-        Cursor { b, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> DResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| corrupt(format!("truncated: wanted {n} bytes at {}", self.pos)))?;
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> DResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn varint(&mut self) -> DResult<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(corrupt("varint overflows u64"));
-            }
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    pub(crate) fn len(&mut self) -> DResult<usize> {
-        let v = self.varint()?;
-        // A length can never legitimately exceed the remaining input.
-        if v as usize > self.b.len().saturating_sub(self.pos) {
-            return Err(corrupt(format!("length {v} exceeds remaining input")));
-        }
-        Ok(v as usize)
-    }
-
-    fn str(&mut self) -> DResult<&'a str> {
-        let n = self.len()?;
-        std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("invalid utf-8 in string"))
-    }
-
+// The entry grammar, as methods on the one codec reader: every primitive
+// read error converts to `SnapshotError::Corrupt` at its `?`.
+impl<'a> Reader<'a> {
     fn sym(&mut self) -> DResult<Symbol> {
         Ok(Symbol::new(self.str()?))
     }
@@ -719,6 +649,7 @@ impl<'a> Cursor<'a> {
         Ok(Sequent { vars, hyps, goal })
     }
 
+    /// Decodes one entry body of kind `kind`.
     pub(crate) fn entry(&mut self, kind: u8) -> DResult<ExportEntry> {
         match kind {
             0 => {
@@ -768,45 +699,7 @@ impl<'a> Cursor<'a> {
 /// Decodes a snapshot byte image, verifying magic, version, framing, and
 /// the trailing integrity checksum. Total: never panics on any input.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ExportEntry>, SnapshotError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(corrupt("file shorter than header + checksum"));
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    // Verify the checksum before interpreting any structure: a flipped bit
-    // anywhere (including in length fields) is caught here.
-    let (content, tail) = bytes.split_at(bytes.len() - 8);
-    let mut h = Fnv64::new();
-    h.write(content);
-    let expected = u64::from_le_bytes(tail.try_into().expect("split_at gave 8 bytes"));
-    if h.finish() != expected {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let mut c = Cursor::new(content);
-    c.pos = MAGIC.len();
-    let version = u32::from_le_bytes(c.take(4)?.try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let count = c.len()?;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
-    for i in 0..count {
-        let kind = c.u8()?;
-        let body_len = c.len()?;
-        let body_end = c.pos + body_len;
-        let entry = c.entry(kind)?;
-        if c.pos != body_end {
-            return Err(corrupt(format!(
-                "entry {i}: frame declares {body_len} bytes, decoder consumed {}",
-                body_len as i64 - (body_end as i64 - c.pos as i64)
-            )));
-        }
-        entries.push(entry);
-    }
-    if c.pos != content.len() {
-        return Err(corrupt("trailing garbage after last entry"));
-    }
+    let (_, entries) = codec::decode_entries(&MAGIC, VERSION, 0, bytes, Reader::entry)?;
     Ok(entries)
 }
 
@@ -814,23 +707,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<ExportEntry>, SnapshotError> 
 // Filesystem wrappers
 // ---------------------------------------------------------------------------
 
-/// Writes a snapshot atomically: encode to `<path>.tmp`, fsync, rename. A
-/// crash mid-write leaves the previous snapshot (or nothing) in place —
-/// never a torn file that the loader would then reject noisily.
+/// Writes a snapshot atomically (`codec::write_atomic`): a crash
+/// mid-write leaves the previous snapshot (or nothing) in place — never a
+/// torn file that the loader would then reject noisily.
 pub fn write_snapshot(path: &Path, entries: &[ExportEntry]) -> std::io::Result<usize> {
     let bytes = encode_snapshot(entries);
-    let tmp = path.with_extension("snap.tmp");
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
+    codec::write_atomic(path, &bytes)?;
     Ok(bytes.len())
 }
 
@@ -911,10 +793,8 @@ mod tests {
         let mut bytes = encode_snapshot(&[]);
         bytes[8] = 99;
         // Checksum covers the version, so re-seal to reach the version gate.
-        let n = bytes.len();
-        let mut h = Fnv64::new();
-        h.write(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&h.finish().to_le_bytes());
+        bytes.truncate(bytes.len() - 8);
+        codec::seal(&mut bytes);
         assert_eq!(decode_snapshot(&bytes), Err(SnapshotError::BadVersion(99)));
     }
 
@@ -954,8 +834,9 @@ mod tests {
         let path = dir.join("store.snap");
         let entries = sample_entries();
         write_snapshot(&path, &entries).unwrap();
-        assert!(
-            !path.with_extension("snap.tmp").exists(),
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
             "tmp renamed away"
         );
         assert_eq!(load_snapshot(&path).unwrap(), entries);

@@ -43,11 +43,11 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use fpop::{ExportEntry, Session};
 
+use crate::codec;
 use crate::diff;
 use crate::snapshot;
 
@@ -103,19 +103,13 @@ impl SharedStore {
         self.dir.join(format!("diff-{digest:016x}.fpopdiff"))
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    fn publish(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         if path.exists() {
             // Content addressed: same name means same bytes already
             // published (by us or a sibling shard).
             return Ok(());
         }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        codec::write_atomic(path, bytes)
     }
 
     /// Publishes a full snapshot segment; returns its content digest (the
@@ -127,7 +121,7 @@ impl SharedStore {
     pub fn publish_base(&self, entries: &[ExportEntry]) -> std::io::Result<u64> {
         let bytes = snapshot::encode_snapshot(entries);
         let digest = diff::snapshot_digest(&bytes);
-        self.write_atomic(&self.seg_path(digest), &bytes)?;
+        self.publish(&self.seg_path(digest), &bytes)?;
         Ok(digest)
     }
 
@@ -145,11 +139,11 @@ impl SharedStore {
         let merged = diff::apply_diff(&base_bytes, &bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let diff_digest = fpop::stable::fnv64_bytes(&bytes);
-        self.write_atomic(&self.diff_path(diff_digest), &bytes)?;
+        self.publish(&self.diff_path(diff_digest), &bytes)?;
         // Materialize the merged image as a segment too: it is the next
         // diff's base, and catch-up then never depends on chain order.
         let merged_digest = diff::snapshot_digest(&merged);
-        self.write_atomic(&self.seg_path(merged_digest), &merged)?;
+        self.publish(&self.seg_path(merged_digest), &merged)?;
         Ok(merged_digest)
     }
 
@@ -286,6 +280,37 @@ mod tests {
             "the two consumed chain bases never reach the importer"
         );
         assert_eq!(s.cached_proofs(), 6);
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn same_process_publishers_do_not_collide() {
+        // In-process fleet shards share one pid and one store directory:
+        // two of them publishing the same segment at once must both
+        // succeed, and the segment must load.
+        let store = tmp_store("race");
+        let entries: Vec<ExportEntry> = (0..2000).map(entry).collect();
+        let seg = store.seg_path(diff::snapshot_digest(&snapshot::encode_snapshot(&entries)));
+        for round in 0..100 {
+            fs::remove_file(&seg).ok();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let publishers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            store.publish_base(&entries)
+                        })
+                    })
+                    .collect();
+                for p in publishers {
+                    let got = p.join().expect("publisher panicked");
+                    assert!(got.is_ok(), "round {round}: {got:?}");
+                }
+            });
+            let s = Session::new();
+            assert_eq!(store.catch_up(&s).loaded, entries.len(), "round {round}");
+        }
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
